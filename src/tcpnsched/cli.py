@@ -42,14 +42,19 @@ def _load_workload(source: str) -> Workload:
 
 def _resolve_step_limit(flag_value: int | None) -> int:
     if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(STEP_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_STEP_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise WorkloadError(f"{STEP_LIMIT_ENV} must be an integer, got {raw!r}") from None
+        source, limit = "--step-limit", flag_value
+    else:
+        raw = os.environ.get(STEP_LIMIT_ENV)
+        if raw is None:
+            return DEFAULT_STEP_LIMIT
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise WorkloadError(f"{STEP_LIMIT_ENV} must be an integer, got {raw!r}") from None
+        source = STEP_LIMIT_ENV
+    if limit < 0:
+        raise WorkloadError(f"{source} must be >= 0, got {limit}")
+    return limit
 
 
 def result_json_doc(result: ScheduleResult) -> dict:
@@ -79,7 +84,7 @@ def result_json_doc(result: ScheduleResult) -> dict:
         else {
             "avg_waiting": agg.avg_waiting,
             "avg_turnaround": agg.avg_turnaround,
-            "total_idle": agg.total_idle,
+            "total_idle": result.total_idle,
             "utilization": agg.utilization,
         },
     }
@@ -115,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.engine == "cpn":
         state = simulate(w, policy, step_limit=step_limit)
         result = compute_metrics(state, w, policy)
-        trace = trace_records(state.trace)
+        trace = trace_records(state.trace) if args.trace else []
     else:
         events = oracle_schedule(w, policy)
         result = result_from_events(events, w, policy)
@@ -158,6 +163,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     import random
 
     step_limit = _resolve_step_limit(args.step_limit)
+    if args.count < 0:
+        raise WorkloadError(f"--count must be >= 0, got {args.count}")
     total = 0
     passed = 0
     failing_seeds: list[int] = []

@@ -10,14 +10,15 @@ ready-time strictly ahead of it; if no token lies ahead, the run halts.
 
 Guards must be pure predicates over (input values, clock); all state change
 belongs in actions. Same-instant conflicts are resolved by static transition
-rank (lower fires first).
+rank (lower fires first). ``steps`` is the one loop that applies this rule;
+``run`` exhausts it.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
@@ -151,14 +152,6 @@ def _apply(state: EngineState, transition: Transition) -> None:
     state.trace.append(FiringEvent(transition.name, state.clock, detail))
 
 
-def fire(net: Net, state: EngineState, transition: Transition) -> EngineState:
-    """Fire one transition in place. Firing a non-enabled transition is rejected."""
-    if not _is_enabled(state, transition):
-        raise EngineError(f"transition {transition.name!r} is not enabled at t={state.clock}")
-    _apply(state, transition)
-    return state
-
-
 def advance_clock(net: Net, state: EngineState) -> int | None:
     """Jump to the next token ready-time, or return None to signal halt.
 
@@ -173,29 +166,25 @@ def advance_clock(net: Net, state: EngineState) -> int | None:
     return state.clock
 
 
-def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
-    """Execute the net to quiescence and return the final state.
+def steps(
+    net: Net, state: EngineState, step_limit: int = DEFAULT_STEP_LIMIT
+) -> Iterator[Transition | None]:
+    """Drive ``state`` in place to quiescence, one step per item.
 
-    Repeatedly fires the lowest-rank enabled transition at the current
-    clock; when none is enabled, advances the clock; halts when no token
-    lies ahead of the clock. Deterministic: identical inputs give identical
-    traces. The ``initial`` state is left untouched.
+    Each step fires the lowest-rank enabled transition at the current clock
+    and yields it; when none is enabled, it advances the clock and yields
+    None. The generator returns when no token lies ahead of the clock.
+    Deterministic: identical inputs give identical traces.
 
     Raises StepLimitExceeded when the firing budget runs out, which points
     at a non-terminating net.
     """
-    state = EngineState(
-        marking=dict(initial.marking),
-        clock=initial.clock,
-        trace=list(initial.trace),
-    )
     missing = [p for p in net.places if p not in state.marking]
     if missing:
         raise EngineError(f"initial marking does not cover place {missing[0]!r}")
 
     firings = 0
     while True:
-        fired = False
         for t in net.transitions:
             if _is_enabled(state, t):
                 if firings >= step_limit:
@@ -204,10 +193,28 @@ def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) ->
                     )
                 _apply(state, t)
                 firings += 1
-                fired = True
+                yield t
                 break
-        if not fired and advance_clock(net, state) is None:
-            return state
+        else:
+            if advance_clock(net, state) is None:
+                return
+            yield None
+
+
+def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
+    """Exhaust ``steps`` on a copy of ``initial`` and return the final state.
+
+    The ``initial`` state is left untouched. Raises StepLimitExceeded as
+    ``steps`` does.
+    """
+    state = EngineState(
+        marking=dict(initial.marking),
+        clock=initial.clock,
+        trace=list(initial.trace),
+    )
+    for _ in steps(net, state, step_limit):
+        pass
+    return state
 
 
 def trace_records(trace: list[FiringEvent]) -> list[dict]:

@@ -17,7 +17,6 @@ if TYPE_CHECKING:
 class Aggregates:
     avg_waiting: float
     avg_turnaround: float
-    total_idle: int
     utilization: float
 
 
@@ -45,7 +44,6 @@ class ScheduleResult:
     makespan: int
     lead_in: int
     idle_intervals: tuple[tuple[int, int], ...]
-    per_process: dict[int, dict[str, int]]
     aggregates: Aggregates | None
 
     @property
@@ -74,7 +72,6 @@ def result_from_processes(
             makespan=0,
             lead_in=0,
             idle_intervals=(),
-            per_process={},
             aggregates=None,
         )
 
@@ -88,21 +85,11 @@ def result_from_processes(
             idle.append((cursor, start))
         cursor = max(cursor, end)
 
-    per_process = {
-        p.pi: {
-            "start": p.es,
-            "finish": p.es + p.st,
-            "waiting": p.wt,
-            "turnaround": p.wt + p.st,
-        }
-        for p in finished
-    }
     n = len(finished)
     total_service = sum(p.st for p in finished)
     aggregates = Aggregates(
         avg_waiting=sum(p.wt for p in finished) / n,
         avg_turnaround=sum(p.wt + p.st for p in finished) / n,
-        total_idle=sum(end - start for start, end in idle),
         utilization=total_service / (makespan - lead_in),
     )
     return ScheduleResult(
@@ -111,7 +98,6 @@ def result_from_processes(
         makespan=makespan,
         lead_in=lead_in,
         idle_intervals=tuple(idle),
-        per_process=per_process,
         aggregates=aggregates,
     )
 

@@ -43,11 +43,6 @@ PLACES = (NEW_TASKS, READY_QUEUE, RUNNING, FINISHED)
 HRRN_SCALE = 100
 
 
-def on_time(p: Process, now: int) -> bool:
-    """True iff the process has arrived by ``now``."""
-    return p.it <= now
-
-
 def select_arrived(l: list[Process], now: int) -> list[Process]:
     """The arrived processes of ``l``, original order preserved."""
     return [p for p in l if p.it <= now]
@@ -59,7 +54,14 @@ def remove_arrived(l: list[Process], now: int) -> list[Process]:
 
 
 def exists_arrived(l: list[Process], now: int) -> bool:
-    """True iff some process of ``l`` has arrived by ``now``."""
+    """True iff some process of ``l`` has arrived by ``now``.
+
+    Reads the minimum arrival cached on a NewTasks token (``_ArrivalList``);
+    a plain list is scanned.
+    """
+    cached = getattr(l, "min_arrival", None)
+    if cached is not None:
+        return cached <= now
     return any(p.it <= now for p in l)
 
 
@@ -145,17 +147,6 @@ def elect(l: list[Process], policy: Policy) -> int:
     return best
 
 
-def choose(l: list[Process], policy: Policy) -> Process:
-    """The elected process itself."""
-    return l[elect(l, policy)]
-
-
-def remaining(l: list[Process], policy: Policy) -> list[Process]:
-    """``l`` with the elected process deleted, order otherwise preserved."""
-    mx = elect(l, policy)
-    return l[:mx] + l[mx + 1 :]
-
-
 def set_execution_start(p: Process, now: int) -> Process:
     """Stamp ``now`` as the execution start time of ``p``."""
     return Process(pi=p.pi, it=p.it, st=p.st, wt=p.wt, es=now, pr=p.pr)
@@ -188,14 +179,6 @@ class _ArrivalList(list):
 _NO_ARRIVAL = float("inf")
 
 
-def _next_arrival(l: list[Process]) -> int | float:
-    """Earliest arrival time in ``l`` (inf when empty); uses the cache if present."""
-    cached = getattr(l, "min_arrival", None)
-    if cached is not None:
-        return cached
-    return min((p.it for p in l), default=_NO_ARRIVAL)
-
-
 @dataclass(frozen=True)
 class SchedulerNet:
     """A scheduler net bound to one workload and one policy."""
@@ -221,11 +204,8 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     if violations:
         raise WorkloadError("; ".join(violations))
 
-    # The guards below are exists_arrived/is_idle expressed through the
-    # NewTasks arrival cache, so same-instant re-checks stay O(1).
-
     def activate_guard(v, clock):
-        return _next_arrival(v[NEW_TASKS]) <= clock
+        return exists_arrived(v[NEW_TASKS], clock)
 
     def activate_action(v, clock):
         moved = select_arrived(v[NEW_TASKS], clock)
@@ -249,9 +229,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
 
     def dispatch_guard(v, clock):
         return (
-            not v[RUNNING]
-            and bool(v[READY_QUEUE])
-            and _next_arrival(v[NEW_TASKS]) > clock
+            not v[RUNNING] and bool(v[READY_QUEUE]) and not exists_arrived(v[NEW_TASKS], clock)
         )
 
     def dispatch_action(v, clock):
@@ -266,13 +244,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         return outputs, detail
 
     def idle_guard(v, clock):
-        new = v[NEW_TASKS]
-        return (
-            not v[RUNNING]
-            and not v[READY_QUEUE]
-            and bool(new)
-            and _next_arrival(new) > clock
-        )
+        return is_idle(v[READY_QUEUE], v[NEW_TASKS], v[RUNNING], clock)
 
     def idle_action(v, clock):
         # The token value is unchanged; only its ready-time moves one tick.

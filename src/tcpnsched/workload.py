@@ -209,7 +209,8 @@ def parse_workload(source: bytes | str | IO, fmt: str = "json", name: str = "") 
         source = source.read()
     if isinstance(source, bytes):
         try:
-            text = source.decode("utf-8")
+            # utf-8-sig drops a leading byte-order mark, as editors on Windows write one.
+            text = source.decode("utf-8-sig")
         except UnicodeDecodeError as e:
             raise WorkloadError(f"workload source is not valid UTF-8: {e}") from None
     else:

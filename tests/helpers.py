@@ -10,14 +10,12 @@ from tcpnsched import (
     PriorityPair,
     ScheduleResult,
     Workload,
-    advance_clock,
     build_net,
     compute_metrics,
-    enabled,
-    fire,
     random_workload,
+    steps,
 )
-from tcpnsched.sched import FINISHED, NEW_TASKS, PLACES, RUNNING, exists_arrived
+from tcpnsched.sched import FINISHED, NEW_TASKS, PLACES, RUNNING
 
 
 def make_corpus(seed: int, count: int, **ranges) -> list[Workload]:
@@ -29,7 +27,7 @@ def make_corpus(seed: int, count: int, **ranges) -> list[Workload]:
 
 
 def run_checked(w: Workload, policy: Policy) -> EngineState:
-    """Drive the scheduler net step by step, asserting marking invariants.
+    """Drive the scheduler net with ``steps``, asserting marking invariants.
 
     Checks at every firing: the marking covers exactly the four places, the
     pi multiset over all places equals the workload's, Running holds at most
@@ -48,22 +46,20 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
 
     assert_marking()
     last_clock = state.clock
-    while True:
-        ts = enabled(sn.net, state)
-        if not ts:
-            if advance_clock(sn.net, state) is None:
-                return state
+    for t in steps(sn.net, state):
+        if t is None:
             assert state.clock > last_clock
             last_clock = state.clock
             continue
-        t = ts[0]
+        assert state.clock == last_clock
+        # Dispatch only reads NewTasks, so after the firing it still holds what
+        # the guard saw. Scan it here rather than reuse the guard's arrival cache.
         if t.name == "Dispatch":
-            assert not exists_arrived(state.marking[NEW_TASKS].value, state.clock), (
+            assert not any(p.it <= state.clock for p in state.marking[NEW_TASKS].value), (
                 "Dispatch fired while an arrived process sat in NewTasks"
             )
-        fire(sn.net, state, t)
-        assert state.clock == last_clock
         assert_marking()
+    return state
 
 
 def assert_schedule_invariants(w: Workload, policy: Policy, state: EngineState) -> ScheduleResult:

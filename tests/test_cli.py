@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 
@@ -78,11 +79,13 @@ class TestRun:
 
     def test_workload_files(self, capsys, tmp_path, table1):
         for fmt, suffix in (("json", ".json"), ("csv", ".csv")):
-            path = tmp_path / f"w{suffix}"
-            path.write_text(serialize_workload(table1, fmt))
-            code, out, _ = invoke(capsys, "run", "--policy", "fcfs", "--workload", str(path))
-            assert code == 0
-            assert json.loads(out)["makespan"] == 19
+            # A leading UTF-8 byte-order mark is accepted in either format.
+            for bom in (b"", codecs.BOM_UTF8):
+                path = tmp_path / f"w{suffix}"
+                path.write_bytes(bom + serialize_workload(table1, fmt).encode())
+                code, out, err = invoke(capsys, "run", "--policy", "fcfs", "--workload", str(path))
+                assert code == 0, err
+                assert json.loads(out)["makespan"] == 19
 
 
 class TestErrorPaths:
@@ -115,10 +118,14 @@ class TestErrorPaths:
         assert code == 0
 
     def test_bad_step_limit_env_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.STEP_LIMIT_ENV, "soon")
-        code, _, err = invoke(capsys, "run", "--policy", "fcfs")
+        for raw in ("soon", "-1"):
+            monkeypatch.setenv(cli.STEP_LIMIT_ENV, raw)
+            code, _, err = invoke(capsys, "run", "--policy", "fcfs")
+            assert code == 1
+            assert cli.STEP_LIMIT_ENV in err
+        code, _, err = invoke(capsys, "run", "--policy", "fcfs", "--step-limit", "-1")
         assert code == 1
-        assert cli.STEP_LIMIT_ENV in err
+        assert "--step-limit" in err
 
 
 class TestCompare:
@@ -155,6 +162,10 @@ class TestFuzz:
         code, out, _ = invoke(capsys, "fuzz", "--seed", "42", "--count", "0")
         assert code == 0
         assert "0/0 comparisons passed" in out
+        # Below zero there is nothing to pass: the count is rejected.
+        code, out, err = invoke(capsys, "fuzz", "--seed", "42", "--count", "-5")
+        assert code == 1
+        assert "--count" in err and out == ""
 
     def test_injected_fault_reports_seed(self, capsys, monkeypatch):
         real = cli.oracle_schedule

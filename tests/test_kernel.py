@@ -13,8 +13,8 @@ from tcpnsched import (
     advance_clock,
     build_net,
     enabled,
-    fire,
     run,
+    steps,
     trace_records,
 )
 from tcpnsched.sched import FINISHED, NEW_TASKS, READY_QUEUE, RUNNING
@@ -83,16 +83,10 @@ class TestFiring:
     def test_fire_moves_token_and_appends_event(self):
         net = counter_net()
         state = counter_state()
-        fire(net, state, net.transitions[0])
+        assert next(steps(net, state)) is net.transitions[0]
         assert state.marking["cell"] == TimedToken(1, 1)
         assert state.clock == 0
         assert [(e.transition, e.time, e.detail) for e in state.trace] == [("inc", 0, {"count": 1})]
-
-    def test_fire_non_enabled_rejected(self):
-        net = counter_net(limit=0)
-        state = counter_state()
-        with pytest.raises(EngineError, match="not enabled"):
-            fire(net, state, net.transitions[0])
 
     def test_action_must_rewrite_consumed_places(self):
         def wrong_action(v, clock):
@@ -103,7 +97,7 @@ class TestFiring:
         )
         net = Net(name="lossy", places=("cell",), transitions=(t,))
         with pytest.raises(EngineError, match="exactly its consumed places"):
-            fire(net, counter_state(), t)
+            run(net, counter_state())
 
     def test_token_ready_time_never_decreases(self):
         def rewind(v, clock):
@@ -116,7 +110,7 @@ class TestFiring:
         state = counter_state()
         state.clock = 4
         with pytest.raises(EngineError, match="back in time"):
-            fire(net, state, t)
+            run(net, state)
 
     def test_net_rejects_undeclared_place(self):
         t = Transition(
@@ -199,8 +193,7 @@ class TestSchedulerNetExamples:
         sn = build_net(table1, Policy.FCFS)
         state = sn.initial_state()
         state.clock = 1
-        activate = next(t for t in sn.net.transitions if t.name == "Activate")
-        fire(sn.net, state, activate)
+        assert next(steps(sn.net, state)).name == "Activate"
         assert [p.pi for p in state.marking[READY_QUEUE].value] == [6]
         assert [p.pi for p in state.marking[NEW_TASKS].value] == [1, 2, 3, 4, 5]
 
@@ -216,8 +209,7 @@ class TestSchedulerNetExamples:
             },
             clock=1,
         )
-        execute = next(t for t in sn.net.transitions if t.name == "Execute")
-        fire(sn.net, state, execute)
+        assert next(steps(sn.net, state)).name == "Execute"
         finished = state.marking[FINISHED]
         assert [p.pi for p in finished.value] == [6]
         assert finished.value[0].es == 1
@@ -228,29 +220,29 @@ class TestSchedulerNetExamples:
         # After Execute at t=1 nothing is enabled until the machine frees at 4.
         sn = build_net(table1, Policy.FCFS)
         state = sn.initial_state()
-        while not any(e.transition == "Execute" for e in state.trace):
-            ts = enabled(sn.net, state)
-            if ts:
-                fire(sn.net, state, ts[0])
-            else:
-                advance_clock(sn.net, state)
+        stepper = steps(sn.net, state)
+        for t in stepper:
+            if t is not None and t.name == "Execute":
+                break
         assert state.clock == 1
         assert enabled(sn.net, state) == []
-        assert advance_clock(sn.net, state) == 4
+        assert next(stepper) is None
+        assert state.clock == 4
 
     def test_idle_tick_then_advance(self, table1):
         sn = build_net(table1, Policy.FCFS)
         state = sn.initial_state()
-        while state.clock < 4 or enabled(sn.net, state):
-            ts = enabled(sn.net, state)
-            if ts:
-                fire(sn.net, state, ts[0])
-            else:
-                advance_clock(sn.net, state)
+        stepper = steps(sn.net, state)
+        # Idle also fires at t=0, before the first arrival; stop at the one at t=4.
+        for t in stepper:
+            if t is not None and t.name == "Idle" and state.clock == 4:
+                break
         # Idle fired at 4 rewriting NewTasks one tick ahead.
         assert state.trace[-1].transition == "Idle"
         assert state.marking[NEW_TASKS].ready_time == 5
-        assert advance_clock(sn.net, state) == 5
+        assert enabled(sn.net, state) == []
+        assert next(stepper) is None
+        assert state.clock == 5
 
     def test_empty_workload_halts_immediately(self):
         from tcpnsched import Workload, simulate

@@ -27,7 +27,7 @@ def hrrn_result(table1):
 
 class TestComputeMetrics:
     def test_fcfs_waiting_times(self, fcfs_result):
-        waits = {pi: m["waiting"] for pi, m in fcfs_result.per_process.items()}
+        waits = {p.pi: p.wt for p in fcfs_result.finished}
         assert waits == {6: 0, 4: 0, 1: 1, 2: 4, 3: 6, 5: 7}
         assert fcfs_result.aggregates.avg_waiting == 3
 
@@ -42,14 +42,14 @@ class TestComputeMetrics:
         assert fcfs_result.total_idle + total_service == fcfs_result.makespan - fcfs_result.lead_in
 
     def test_hrrn_turnarounds(self, hrrn_result):
-        t = {pi: m["turnaround"] for pi, m in hrrn_result.per_process.items()}
+        t = {p.pi: p.wt + p.st for p in hrrn_result.finished}
         assert t == {6: 3, 4: 2, 1: 5, 3: 5, 2: 9, 5: 10}
 
     def test_per_process_identities(self, hrrn_result, table1):
         arrivals = {p.pi: p.it for p in table1.processes}
-        for pi, m in hrrn_result.per_process.items():
-            assert m["turnaround"] == m["waiting"] + (m["finish"] - m["start"])
-            assert m["turnaround"] == m["finish"] - arrivals[pi]
+        for p in hrrn_result.finished:
+            finish = p.es + p.st
+            assert p.wt + p.st == finish - arrivals[p.pi]
 
     def test_utilization(self, fcfs_result):
         assert fcfs_result.aggregates.utilization == 17 / 18

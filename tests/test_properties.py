@@ -12,13 +12,17 @@ from tcpnsched import (
     PriorityPair,
     Process,
     Workload,
+    build_net,
     compute_metrics,
     simulate,
+    steps,
     trace_records,
 )
 from tcpnsched.sched import (
+    NEW_TASKS,
     compare_process,
     elect,
+    exists_arrived,
     remove_arrived,
     select_arrived,
 )
@@ -54,6 +58,20 @@ class TestPureOps:
             sel_i, rem_i = iter(sel), iter(rem)
             merged = [next(sel_i) if p.it <= now else next(rem_i) for p in l]
             assert merged == l
+            # exists_arrived on a real NewTasks token reads its arrival cache;
+            # check it against a scan before and after the first Activate.
+            w = Workload(tuple(Process(pi=p.pi, it=p.it, st=p.st) for p in l))
+            sn = build_net(w, Policy.FCFS)
+            state = sn.initial_state()
+            tokens = [state.marking[NEW_TASKS].value]
+            for t in steps(sn.net, state):
+                if t is not None and t.name == "Activate":
+                    tokens.append(state.marking[NEW_TASKS].value)
+                    break
+            assert len(tokens) == (2 if l else 1)
+            for token in tokens:
+                assert hasattr(token, "min_arrival"), "NewTasks token lost its arrival cache"
+                assert exists_arrived(token, now) == any(p.it <= now for p in token)
 
     def test_compare_antisymmetry(self):
         for case in range(CASES):
@@ -146,7 +164,7 @@ class TestEngineRuns:
                 assert_schedule_invariants(w, policy, corpus_runs[(i, policy)])
 
     def test_stepwise_drive_matches_run(self, corpus, corpus_runs):
-        # The public enabled/fire/advance loop reproduces run() exactly.
+        # Driving steps() on the initial state reproduces run() exactly.
         for i, w in enumerate(corpus):
             for policy in Policy:
                 direct = simulate(w, policy)

@@ -1,24 +1,28 @@
 import pytest
 
 from tcpnsched import (
+    EngineState,
     Policy,
     PriorityPair,
     Process,
+    TimedToken,
     Workload,
     WorkloadError,
     build_net,
     compute_metrics,
     simulate,
+    steps,
 )
 from tcpnsched.sched import (
-    choose,
+    FINISHED,
+    NEW_TASKS,
+    READY_QUEUE,
+    RUNNING,
     cmp_scalar,
     compare_process,
     elect,
     exists_arrived,
     is_idle,
-    on_time,
-    remaining,
     remove_arrived,
     select_arrived,
     set_execution_start,
@@ -32,13 +36,30 @@ def proc(pi, it=0, st=1, wt=0, es=0, pr=(0, 0)):
     return Process(pi=pi, it=it, st=st, wt=wt, es=es, pr=PriorityPair(*pr))
 
 
-class TestArrivalOps:
-    def test_on_time(self, table1):
-        p6, p1 = table1.processes[5], table1.processes[0]
-        assert on_time(p6, 1) is True
-        assert on_time(p1, 5) is False
-        assert on_time(proc(1, it=0), 0) is True
+def dispatch(table1, policy, ready_pis, clock):
+    """Fire Dispatch on a table-1 marking with only ``ready_pis`` ready.
 
+    Returns the pis in Running and in ReadyQueue after the firing.
+    """
+    by_pi = {p.pi: p for p in table1.processes}
+    sn = build_net(table1, policy)
+    state = EngineState(
+        marking={
+            NEW_TASKS: TimedToken([], clock),
+            READY_QUEUE: TimedToken([by_pi[pi] for pi in ready_pis], clock),
+            RUNNING: TimedToken([], clock),
+            FINISHED: TimedToken([], clock),
+        },
+        clock=clock,
+    )
+    assert next(steps(sn.net, state)).name == "Dispatch"
+    return (
+        [p.pi for p in state.marking[RUNNING].value],
+        [p.pi for p in state.marking[READY_QUEUE].value],
+    )
+
+
+class TestArrivalOps:
     def test_select_arrived(self, table1):
         l = list(table1.processes)
         assert [p.pi for p in select_arrived(l, 1)] == [6]
@@ -141,33 +162,24 @@ class TestComparison:
 
 
 class TestElection:
-    def test_hrrn_at_11_elects_p3(self):
+    def test_hrrn_at_11_elects_p3(self, table1):
         l = [proc(2, pr=(233, 0)), proc(3, pr=(250, 0)), proc(5, pr=(166, 0))]
         assert elect(l, Policy.HRRN) == 1
-        assert choose(l, Policy.HRRN).pi == 3
-        assert [p.pi for p in remaining(l, Policy.HRRN)] == [2, 5]
+        # Dispatch runs the elected process and keeps the rest in order.
+        assert dispatch(table1, Policy.HRRN, [2, 3, 5], 11) == ([3], [2, 5])
 
-    def test_singleton(self):
+    def test_singleton(self, table1):
         l = [proc(6, pr=(1, 0))]
         assert elect(l, Policy.FCFS) == 0
-        assert choose(l, Policy.FCFS).pi == 6
-        assert remaining(l, Policy.FCFS) == []
+        assert dispatch(table1, Policy.FCFS, [6], 1) == ([6], [])
 
     def test_fcfs_arrival_ordered_list_elects_head(self, table1):
         l = update_all(sorted(table1.processes, key=lambda p: p.it), Policy.FCFS, 20)
         assert elect(l, Policy.FCFS) == 0
 
     def test_empty_rejected(self):
-        for fn in (elect, choose, remaining):
-            with pytest.raises(ValueError, match="empty"):
-                fn([], Policy.FCFS)
-
-    def test_choose_and_remaining_partition(self):
-        l = [proc(1, pr=(3, 0)), proc(2, pr=(1, 0)), proc(3, pr=(2, 0))]
-        picked = choose(l, Policy.FCFS)
-        rest = remaining(l, Policy.FCFS)
-        assert sorted(p.pi for p in [picked] + rest) == [1, 2, 3]
-        assert [p.pi for p in rest] == [1, 3]
+        with pytest.raises(ValueError, match="empty"):
+            elect([], Policy.FCFS)
 
 
 class TestStamps:
@@ -213,8 +225,7 @@ class TestFullRuns:
 
     def test_plain_list_markings_work_without_cache(self, table1):
         # Guards fall back to scanning when a marking is built by hand.
-        from tcpnsched import EngineState, TimedToken, run
-        from tcpnsched.sched import FINISHED, NEW_TASKS, READY_QUEUE, RUNNING
+        from tcpnsched import run
 
         sn = build_net(table1, Policy.FCFS)
         state = EngineState(
