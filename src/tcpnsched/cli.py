@@ -194,8 +194,19 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as other bad input does.
+
+    ``add_subparsers`` builds the subcommand parsers with the same class.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tcpnsched",
         description="Single-processor non-preemptive scheduling on a timed colored Petri net.",
     )

@@ -29,15 +29,17 @@ class OracleEvent:
     pr: PriorityPair
 
 
-def _recorded_priority(p: Process, now: int, policy: Policy) -> PriorityPair:
+def _recorded_priority(p: Process, now: int, policy: Policy) -> tuple[int, int]:
+    # A plain (major, minor) tuple: _rank calls this for every ready process
+    # at every dispatch, and only the recorded event needs a PriorityPair.
     waiting = now - p.it
     if policy is Policy.FCFS:
-        return PriorityPair(p.it, 0)
+        return (p.it, 0)
     if policy is Policy.SJF:
-        return PriorityPair(p.st, p.it)
+        return (p.st, p.it)
     if policy is Policy.PR:
-        return PriorityPair(p.pr.major, p.it)
-    return PriorityPair((p.st + waiting) * 100 // p.st, 0)
+        return (p.pr.major, p.it)
+    return ((p.st + waiting) * 100 // p.st, 0)
 
 
 def _rank(p: Process, now: int, policy: Policy) -> tuple[int, int, int]:
@@ -80,7 +82,7 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[OracleEvent]:
                 dispatch=t,
                 finish=t + best.st,
                 waiting=t - best.it,
-                pr=_recorded_priority(best, t, policy),
+                pr=PriorityPair(*_recorded_priority(best, t, policy)),
             )
         )
         t += best.st

@@ -8,11 +8,24 @@ Four places, each holding one list-of-Process token:
     Finished    completed processes in completion order
 
 and four transitions: Activate moves every arrived process from NewTasks to
-the end of ReadyQueue; Dispatch recomputes waiting times and priorities for
-the whole ready list, then moves the winner to Running; Execute stamps the
+ReadyQueue; Dispatch elects the highest-priority ready process, stamps its
+waiting time and priority, and moves it to Running; Execute stamps the
 execution start, runs the process to completion (both the Finished and the
-emptied Running token become ready at start + service time), and Idle ticks
-the clock forward by one while the machine has nothing arrived to do.
+emptied Running token become ready at start + service time), and Idle moves
+the NewTasks token's ready-time to the next pending arrival while the
+machine has nothing arrived to do, so one firing covers a whole gap.
+
+Dispatch elects the process that the paper's full refresh would elect,
+``elect(update_all(ready, policy, now), policy)``, without rebuilding the
+ready list. FCFS, SJF and PR priorities do not depend on the clock, so
+Activate stamps each process once with ``update_priority`` and inserts it
+into ReadyQueue, which those policies keep ordered by ``compare_process``
+with the best process last; Dispatch takes the last one. HRRN's response
+ratio grows with waiting time, so its ReadyQueue stays in arrival order and
+Dispatch computes the ratio of each ready process as a plain integer, then
+runs ``update_all`` and ``elect`` on the processes tied at the top ratio.
+Only the dispatched process carries a refreshed waiting time and priority;
+the records left in ReadyQueue keep the ones they had.
 
 Same-instant conflicts resolve by rank: Activate < Execute < Dispatch < Idle,
 so a pending arrival is always queued before the machine picks its next job.
@@ -20,7 +33,9 @@ so a pending arrival is always queued before the machine picks its next job.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .kernel import (
     DEFAULT_STEP_LIMIT,
@@ -53,16 +68,26 @@ def remove_arrived(l: list[Process], now: int) -> list[Process]:
     return [p for p in l if p.it > now]
 
 
-def exists_arrived(l: list[Process], now: int) -> bool:
-    """True iff some process of ``l`` has arrived by ``now``.
+def _earliest_arrival(l: list[Process]) -> int | float:
+    """The smallest arrival time in ``l``, or infinity for an empty list.
 
     Reads the minimum arrival cached on a NewTasks token (``_ArrivalList``);
     a plain list is scanned.
     """
     cached = getattr(l, "min_arrival", None)
     if cached is not None:
-        return cached <= now
-    return any(p.it <= now for p in l)
+        return cached
+    return min((p.it for p in l), default=_NO_ARRIVAL)
+
+
+def exists_arrived(l: list[Process], now: int) -> bool:
+    """True iff some process of ``l`` has arrived by ``now``."""
+    return _earliest_arrival(l) <= now
+
+
+def hrrn_ratio(st: int, wt: int) -> int:
+    """Response ratio (service + waiting) / service, scaled by HRRN_SCALE."""
+    return (st + wt) * HRRN_SCALE // st
 
 
 def update_priority(policy: Policy, p: Process) -> Process:
@@ -81,7 +106,7 @@ def update_priority(policy: Policy, p: Process) -> Process:
     elif policy is Policy.PR:
         pr = PriorityPair(p.pr.major, p.it)
     else:
-        pr = PriorityPair((p.st + p.wt) * HRRN_SCALE // p.st, 0)
+        pr = PriorityPair(hrrn_ratio(p.st, p.wt), 0)
     return Process(pi=p.pi, it=p.it, st=p.st, wt=p.wt, es=p.es, pr=pr)
 
 
@@ -207,11 +232,22 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     def activate_guard(v, clock):
         return exists_arrived(v[NEW_TASKS], clock)
 
+    # FCFS, SJF and PR priorities ignore the clock: those ReadyQueues stay
+    # sorted ascending by compare_process, so the best process is last.
+    static = policy is not Policy.HRRN
+    order = cmp_to_key(lambda a, b: compare_process(a, b, policy))
+
     def activate_action(v, clock):
         moved = select_arrived(v[NEW_TASKS], clock)
+        if static:
+            ready = list(v[READY_QUEUE])
+            for p in moved:
+                bisect.insort(ready, update_priority(policy, p), key=order)
+        else:
+            ready = v[READY_QUEUE] + moved
         outputs = {
             NEW_TASKS: TimedToken(_ArrivalList(remove_arrived(v[NEW_TASKS], clock)), clock),
-            READY_QUEUE: TimedToken(v[READY_QUEUE] + moved, clock),
+            READY_QUEUE: TimedToken(ready, clock),
         }
         return outputs, {"activated": [p.pi for p in moved]}
 
@@ -232,13 +268,23 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
             not v[RUNNING] and bool(v[READY_QUEUE]) and not exists_arrived(v[NEW_TASKS], clock)
         )
 
+    def hrrn_winner(ready, clock):
+        # Only processes tied at the top ratio can win; the paper's refresh
+        # and election decide among them.
+        ratios = [hrrn_ratio(p.st, clock - p.it) for p in ready]
+        top = max(ratios)
+        tied = [i for i, r in enumerate(ratios) if r == top]
+        if len(tied) == 1:
+            return tied[0]
+        return tied[elect(update_all([ready[i] for i in tied], policy, clock), policy)]
+
     def dispatch_action(v, clock):
-        u = update_all(v[READY_QUEUE], policy, clock)
-        mx = elect(u, policy)
-        chosen = u[mx]
+        ready = v[READY_QUEUE]
+        mx = len(ready) - 1 if static else hrrn_winner(ready, clock)
+        chosen = update_priority(policy, update_proc_wait(ready[mx], clock))
         outputs = {
             RUNNING: TimedToken([chosen], clock),
-            READY_QUEUE: TimedToken(u[:mx] + u[mx + 1 :], clock),
+            READY_QUEUE: TimedToken(ready[:mx] + ready[mx + 1 :], clock),
         }
         detail = {"dispatched": chosen.pi, "wt": chosen.wt, "pr": [chosen.pr.major, chosen.pr.minor]}
         return outputs, detail
@@ -247,8 +293,10 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         return is_idle(v[READY_QUEUE], v[NEW_TASKS], v[RUNNING], clock)
 
     def idle_action(v, clock):
-        # The token value is unchanged; only its ready-time moves one tick.
-        return {NEW_TASKS: TimedToken(v[NEW_TASKS], clock + 1)}, {"idle_until": clock + 1}
+        # The token value is unchanged; only its ready-time moves, to the next
+        # arrival, since nothing can fire before it.
+        until = _earliest_arrival(v[NEW_TASKS])
+        return {NEW_TASKS: TimedToken(v[NEW_TASKS], until)}, {"idle_until": until}
 
     transitions = (
         Transition(

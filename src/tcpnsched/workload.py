@@ -209,12 +209,15 @@ def parse_workload(source: bytes | str | IO, fmt: str = "json", name: str = "") 
         source = source.read()
     if isinstance(source, bytes):
         try:
-            # utf-8-sig drops a leading byte-order mark, as editors on Windows write one.
-            text = source.decode("utf-8-sig")
+            text = source.decode("utf-8")
         except UnicodeDecodeError as e:
             raise WorkloadError(f"workload source is not valid UTF-8: {e}") from None
     else:
         text = source
+    # Drop one leading byte-order mark, as editors on Windows write one; a
+    # file opened in text mode keeps it as the first character.
+    if text.startswith("\ufeff"):
+        text = text[1:]
 
     if fmt == "json":
         procs = _parse_json(text)

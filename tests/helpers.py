@@ -15,7 +15,15 @@ from tcpnsched import (
     random_workload,
     steps,
 )
-from tcpnsched.sched import FINISHED, NEW_TASKS, PLACES, RUNNING
+from tcpnsched.sched import (
+    FINISHED,
+    NEW_TASKS,
+    PLACES,
+    READY_QUEUE,
+    RUNNING,
+    compare_process,
+    update_all,
+)
 
 
 def make_corpus(seed: int, count: int, **ranges) -> list[Workload]:
@@ -31,8 +39,9 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
 
     Checks at every firing: the marking covers exactly the four places, the
     pi multiset over all places equals the workload's, Running holds at most
-    one process, the clock never decreases, and Dispatch never fires while
-    an arrived process sits in NewTasks.
+    one process, the clock never decreases, Dispatch never fires while an
+    arrived process sits in NewTasks, and under FCFS, SJF and PR the
+    ReadyQueue is ordered by ``compare_process`` with the best process last.
     """
     sn = build_net(w, policy)
     state = sn.initial_state()
@@ -57,6 +66,13 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
         if t.name == "Dispatch":
             assert not any(p.it <= state.clock for p in state.marking[NEW_TASKS].value), (
                 "Dispatch fired while an arrived process sat in NewTasks"
+            )
+        if policy is not Policy.HRRN:
+            # Order the records by freshly computed priorities, so a record
+            # stamped wrongly at Activate cannot vouch for its own position.
+            ready = update_all(state.marking[READY_QUEUE].value, policy, state.clock)
+            assert all(compare_process(a, b, policy) == -1 for a, b in zip(ready, ready[1:])), (
+                f"ReadyQueue not ordered best-last after {t.name}"
             )
         assert_marking()
     return state
@@ -95,6 +111,9 @@ def assert_schedule_invariants(w: Workload, policy: Policy, state: EngineState) 
     # Halting bound: firings stay within 4n plus the idle ticks.
     idle_ticks = sum(1 for e in state.trace if e.transition == "Idle")
     assert len(state.trace) <= 4 * n + idle_ticks
+    # Idle covers a whole gap in one firing and each gap ends in an
+    # Activate, so the firings also stay within 4n.
+    assert len(state.trace) <= 4 * n
 
     times = [e.time for e in state.trace]
     assert times == sorted(times), "trace firing times must be nondecreasing"

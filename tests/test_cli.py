@@ -87,6 +87,17 @@ class TestRun:
                 assert code == 0, err
                 assert json.loads(out)["makespan"] == 19
 
+    def test_long_idle_gap_finishes_within_the_default_step_limit(self, capsys, tmp_path, monkeypatch):
+        # Idle jumps to the next arrival, so a 5,000,000-tick gap costs one firing.
+        monkeypatch.delenv(cli.STEP_LIMIT_ENV, raising=False)
+        path = tmp_path / "gap.json"
+        path.write_text('[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 5000000, "st": 1}]')
+        code, cpn, err = invoke(capsys, "run", "--workload", str(path))
+        assert code == 0, err
+        _, orc, _ = invoke(capsys, "run", "--workload", str(path), "--engine", "oracle")
+        assert cpn == orc
+        assert json.loads(cpn)["idle"] == [[1, 5000000]]
+
 
 class TestErrorPaths:
     def test_unknown_policy_exits_1_and_lists_valid(self, capsys):
@@ -116,6 +127,18 @@ class TestErrorPaths:
         monkeypatch.setenv(cli.STEP_LIMIT_ENV, "3")
         code, _, _ = invoke(capsys, "run", "--policy", "fcfs", "--step-limit", "100000")
         assert code == 0
+
+    def test_usage_error_exits_1_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--format", "bogus"])
+        assert exit_info.value.code == 1
+        assert "--format" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert "--format" in capsys.readouterr().out
 
     def test_bad_step_limit_env_exits_1(self, capsys, monkeypatch):
         for raw in ("soon", "-1"):
@@ -182,5 +205,7 @@ class TestFuzz:
         assert "failing seeds: 9" in out
 
     def test_seed_is_required(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["fuzz", "--count", "1"])
+        assert exit_info.value.code == 1
+        assert "--seed" in capsys.readouterr().err

@@ -8,23 +8,31 @@ import pytest
 
 from helpers import assert_schedule_invariants, make_corpus, run_checked
 from tcpnsched import (
+    EngineState,
     Policy,
     PriorityPair,
     Process,
+    TimedToken,
     Workload,
     build_net,
     compute_metrics,
+    diff_results,
+    oracle_schedule,
     simulate,
     steps,
     trace_records,
 )
 from tcpnsched.sched import (
+    FINISHED,
     NEW_TASKS,
+    READY_QUEUE,
+    RUNNING,
     compare_process,
     elect,
     exists_arrived,
     remove_arrived,
     select_arrived,
+    update_all,
 )
 
 CASES = 500
@@ -137,6 +145,46 @@ class TestPureOps:
             assert procs(100)[base].pi == procs(100 * factor)[scaled].pi
 
 
+class TestDispatch:
+    def test_dispatch_elects_what_the_full_refresh_elects(self):
+        # The paper's Dispatch refreshes every ready process and elects the
+        # best; the net elects without the refresh. Both must run the same
+        # process with the same waiting time and priority pair.
+        # Any valid workload builds the net; the marking below is hand-built.
+        one = Workload((Process(pi=1, it=0, st=1),))
+        for case in range(CASES):
+            rng = random.Random(70_000 + case)
+            n = rng.randint(1, 12)
+            procs = [
+                Process(pi=pi, it=rng.randint(0, 20), st=rng.randint(1, 9), pr=PriorityPair(rng.randint(0, 5), 0))
+                for pi in rng.sample(range(1, 40), n)
+            ]
+            now = rng.randint(max(p.it for p in procs), 40)
+            # Arrivals up to ``first`` enter ReadyQueue at ``first``, the rest
+            # at ``now``; Running frees at ``now``, so Dispatch waits for both.
+            first = rng.randint(0, now)
+            for policy in Policy:
+                sn = build_net(one, policy)
+                state = EngineState(
+                    marking={
+                        NEW_TASKS: TimedToken(list(procs), first),
+                        READY_QUEUE: TimedToken([], first),
+                        RUNNING: TimedToken([], now),
+                        FINISHED: TimedToken([], first),
+                    },
+                    clock=first,
+                )
+                for t in steps(sn.net, state):
+                    if t is not None and t.name == "Dispatch":
+                        break
+                assert state.clock == now
+                u = update_all(procs, policy, now)
+                expected = u[elect(u, policy)]
+                assert state.marking[RUNNING].value == [expected], (case, policy)
+                left = sorted(p.pi for p in state.marking[READY_QUEUE].value)
+                assert left == sorted(p.pi for p in procs if p.pi != expected.pi)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return make_corpus(seed=101, count=CASES, max_n=12, max_it=30, max_st=8)
@@ -205,6 +253,21 @@ class TestEngineRuns:
             }
             for policy in (Policy.FCFS, Policy.PR, Policy.HRRN):
                 assert avg[Policy.SJF] <= avg[policy] + 1e-9
+
+    def test_burst_of_1000_at_one_instant_matches_the_oracle(self):
+        # The whole workload sits in ReadyQueue at once, and HRRN ratios tie
+        # at the x100 fixed point across many service times.
+        rng = random.Random(80_000)
+        w = Workload(
+            tuple(
+                Process(pi=pi, it=0, st=rng.randint(1, 20), pr=PriorityPair(rng.randint(0, 9), 0))
+                for pi in range(1, 1_001)
+            ),
+            name="burst-1000",
+        )
+        for policy in Policy:
+            result = compute_metrics(simulate(w, policy), w, policy)
+            assert diff_results(result, oracle_schedule(w, policy), oracle_policy=policy) == []
 
     def test_determinism_on_random_workloads(self, corpus):
         for w in corpus[:50]:

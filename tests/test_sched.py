@@ -236,5 +236,9 @@ class TestFullRuns:
                 FINISHED: TimedToken([], 0),
             }
         )
-        res = compute_metrics(run(sn.net, state), table1, Policy.FCFS)
+        final = run(sn.net, state)
+        res = compute_metrics(final, table1, Policy.FCFS)
         assert [p.pi for p in res.finished] == [6, 4, 1, 2, 3, 5]
+        # Idle fired at t=0 on the plain list and jumped to the first arrival.
+        first = final.trace[0]
+        assert (first.transition, first.time, first.detail) == ("Idle", 0, {"idle_until": 1})

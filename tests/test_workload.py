@@ -190,6 +190,18 @@ class TestRoundTrip:
         assert parse_workload(serialize_workload(w, fmt), fmt=fmt).processes == ()
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_leading_bom_is_dropped_from_text(self, fmt, table1):
+        text = "\ufeff" + serialize_workload(table1, fmt)
+        for source in (text, io.StringIO(text), text.encode()):
+            assert parse_workload(source, fmt=fmt).processes == table1.processes
+
+    def test_only_one_bom_is_dropped(self):
+        with pytest.raises(WorkloadError, match="unknown column"):
+            parse_workload("\ufeff\ufeffpi,it,st\n1,0,1\n", fmt="csv")
+
+
 class TestPolicy:
     def test_case_insensitive_lookup(self):
         assert Policy.from_name("HRRN") is Policy.HRRN
