@@ -2,7 +2,8 @@
 
 Four places, each holding one list-of-Process token:
 
-    NewTasks    processes that have not yet entered the system
+    NewTasks    processes that have not yet entered the system, sorted by
+                (arrival time, index)
     ReadyQueue  arrived processes waiting to be scheduled
     Running     the process currently on the machine (length <= 1)
     Finished    completed processes in completion order
@@ -14,6 +15,12 @@ execution start, runs the process to completion (both the Finished and the
 emptied Running token become ready at start + service time), and Idle moves
 the NewTasks token's ready-time to the next pending arrival while the
 machine has nothing arrived to do, so one firing covers a whole gap.
+
+NewTasks is sorted once, in the initial marking, and Activate only ever
+removes a prefix of it, so the sort is a marking invariant and the arrived
+processes are always a prefix: ``select_arrived`` and ``remove_arrived``
+split NewTasks with one binary search, and ``exists_arrived`` and Idle read
+only its head.
 
 Dispatch elects the process that the paper's full refresh would elect,
 ``elect(update_all(ready, policy, now), policy)``, without rebuilding the
@@ -36,6 +43,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cmp_to_key
+from operator import attrgetter
 
 from .kernel import (
     DEFAULT_STEP_LIMIT,
@@ -57,32 +65,32 @@ PLACES = (NEW_TASKS, READY_QUEUE, RUNNING, FINISHED)
 #: Fixed-point scale for fractional HRRN response ratios.
 HRRN_SCALE = 100
 
+_arrival = attrgetter("it")
+
 
 def select_arrived(l: list[Process], now: int) -> list[Process]:
-    """The arrived processes of ``l``, original order preserved."""
-    return [p for p in l if p.it <= now]
+    """The arrived processes of ``l``: its prefix with ``it <= now``.
+
+    ``l`` must be sorted by arrival time, as NewTasks is.
+    """
+    return l[: bisect.bisect_right(l, now, key=_arrival)]
 
 
 def remove_arrived(l: list[Process], now: int) -> list[Process]:
-    """The not-yet-arrived processes of ``l``, original order preserved."""
-    return [p for p in l if p.it > now]
+    """The not-yet-arrived processes of ``l``: its suffix with ``it > now``.
 
-
-def _earliest_arrival(l: list[Process]) -> int | float:
-    """The smallest arrival time in ``l``, or infinity for an empty list.
-
-    Reads the minimum arrival cached on a NewTasks token (``_ArrivalList``);
-    a plain list is scanned.
+    ``l`` must be sorted by arrival time, as NewTasks is.
     """
-    cached = getattr(l, "min_arrival", None)
-    if cached is not None:
-        return cached
-    return min((p.it for p in l), default=_NO_ARRIVAL)
+    return l[bisect.bisect_right(l, now, key=_arrival) :]
 
 
 def exists_arrived(l: list[Process], now: int) -> bool:
-    """True iff some process of ``l`` has arrived by ``now``."""
-    return _earliest_arrival(l) <= now
+    """True iff some process of ``l`` has arrived by ``now``.
+
+    ``l`` must be sorted by arrival time, as NewTasks is, so only its head
+    can decide.
+    """
+    return bool(l) and l[0].it <= now
 
 
 def hrrn_ratio(st: int, wt: int) -> int:
@@ -186,24 +194,6 @@ def is_idle(ready: list[Process], new: list[Process], run_list: list[Process], n
     return not run_list and not ready and bool(new) and not exists_arrived(new, now)
 
 
-class _ArrivalList(list):
-    """NewTasks token value: a process list with its minimum arrival cached.
-
-    Guards probe NewTasks at every engine step; the cache keeps those probes
-    O(1) instead of rescanning the list. Still a plain list for every other
-    purpose (equality, iteration, marking inspection).
-    """
-
-    __slots__ = ("min_arrival",)
-
-    def __init__(self, procs=()):
-        super().__init__(procs)
-        self.min_arrival = min((p.it for p in self), default=_NO_ARRIVAL)
-
-
-_NO_ARRIVAL = float("inf")
-
-
 @dataclass(frozen=True)
 class SchedulerNet:
     """A scheduler net bound to one workload and one policy."""
@@ -213,9 +203,10 @@ class SchedulerNet:
     net: Net
 
     def initial_state(self) -> EngineState:
-        """Fresh initial marking: all processes in NewTasks, clock 0."""
+        """Fresh initial marking: all processes in NewTasks by ``(it, pi)``, clock 0."""
+        arrivals = sorted(self.workload.processes, key=lambda p: (p.it, p.pi))
         marking = {
-            NEW_TASKS: TimedToken(_ArrivalList(self.workload.processes), 0),
+            NEW_TASKS: TimedToken(arrivals, 0),
             READY_QUEUE: TimedToken([], 0),
             RUNNING: TimedToken([], 0),
             FINISHED: TimedToken([], 0),
@@ -246,7 +237,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         else:
             ready = v[READY_QUEUE] + moved
         outputs = {
-            NEW_TASKS: TimedToken(_ArrivalList(remove_arrived(v[NEW_TASKS], clock)), clock),
+            NEW_TASKS: TimedToken(remove_arrived(v[NEW_TASKS], clock), clock),
             READY_QUEUE: TimedToken(ready, clock),
         }
         return outputs, {"activated": [p.pi for p in moved]}
@@ -294,8 +285,8 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
 
     def idle_action(v, clock):
         # The token value is unchanged; only its ready-time moves, to the next
-        # arrival, since nothing can fire before it.
-        until = _earliest_arrival(v[NEW_TASKS])
+        # arrival (the head of NewTasks), since nothing can fire before it.
+        until = v[NEW_TASKS][0].it
         return {NEW_TASKS: TimedToken(v[NEW_TASKS], until)}, {"idle_until": until}
 
     transitions = (

@@ -8,6 +8,7 @@ from tcpnsched import (
     EngineState,
     Policy,
     PriorityPair,
+    Process,
     ScheduleResult,
     Workload,
     build_net,
@@ -34,14 +35,20 @@ def make_corpus(seed: int, count: int, **ranges) -> list[Workload]:
     ]
 
 
+def by_arrival(procs) -> list[Process]:
+    """``procs`` in NewTasks order: sorted by ``(it, pi)``."""
+    return sorted(procs, key=lambda p: (p.it, p.pi))
+
+
 def run_checked(w: Workload, policy: Policy) -> EngineState:
     """Drive the scheduler net with ``steps``, asserting marking invariants.
 
     Checks at every firing: the marking covers exactly the four places, the
     pi multiset over all places equals the workload's, Running holds at most
-    one process, the clock never decreases, Dispatch never fires while an
-    arrived process sits in NewTasks, and under FCFS, SJF and PR the
-    ReadyQueue is ordered by ``compare_process`` with the best process last.
+    one process, the clock never decreases, NewTasks is sorted by
+    ``(it, pi)``, no arrived process sits in NewTasks after an Activate or a
+    Dispatch, and under FCFS, SJF and PR the ReadyQueue is ordered by
+    ``compare_process`` with the best process last.
     """
     sn = build_net(w, policy)
     state = sn.initial_state()
@@ -61,11 +68,16 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
             last_clock = state.clock
             continue
         assert state.clock == last_clock
-        # Dispatch only reads NewTasks, so after the firing it still holds what
-        # the guard saw. Scan it here rather than reuse the guard's arrival cache.
-        if t.name == "Dispatch":
-            assert not any(p.it <= state.clock for p in state.marking[NEW_TASKS].value), (
-                "Dispatch fired while an arrived process sat in NewTasks"
+        # Scan NewTasks independently of the list functions the net runs.
+        new = state.marking[NEW_TASKS].value
+        assert all((a.it, a.pi) < (b.it, b.pi) for a, b in zip(new, new[1:])), (
+            f"NewTasks not sorted by (it, pi) after {t.name}"
+        )
+        # Activate takes every arrived process; Dispatch only reads NewTasks,
+        # so after it NewTasks still holds what its guard saw.
+        if t.name in ("Activate", "Dispatch"):
+            assert not any(p.it <= state.clock for p in new), (
+                f"{t.name} left an arrived process in NewTasks"
             )
         if policy is not Policy.HRRN:
             # Order the records by freshly computed priorities, so a record

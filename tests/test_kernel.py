@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import by_arrival
 from tcpnsched import (
     EngineError,
     EngineState,
@@ -177,7 +178,7 @@ class TestSchedulerNetExamples:
 
     def test_dispatch_enabled_when_ready_nonempty_and_nothing_arrived(self, table1):
         sn = build_net(table1, Policy.FCFS)
-        procs = list(table1.processes)
+        procs = by_arrival(table1.processes)
         state = EngineState(
             marking={
                 NEW_TASKS: TimedToken([p for p in procs if p.it > 2], 0),
@@ -195,14 +196,15 @@ class TestSchedulerNetExamples:
         state.clock = 1
         assert next(steps(sn.net, state)).name == "Activate"
         assert [p.pi for p in state.marking[READY_QUEUE].value] == [6]
-        assert [p.pi for p in state.marking[NEW_TASKS].value] == [1, 2, 3, 4, 5]
+        # NewTasks is sorted by (it, pi), so the rest stay in arrival order.
+        assert [p.pi for p in state.marking[NEW_TASKS].value] == [4, 1, 2, 3, 5]
 
     def test_fire_execute_stamps_start_and_delays_tokens(self, table1):
         sn = build_net(table1, Policy.FCFS)
         p6 = table1.processes[5]
         state = EngineState(
             marking={
-                NEW_TASKS: TimedToken([p for p in table1.processes if p.pi != 6], 1),
+                NEW_TASKS: TimedToken(by_arrival(p for p in table1.processes if p.pi != 6), 1),
                 READY_QUEUE: TimedToken([], 1),
                 RUNNING: TimedToken([p6], 1),
                 FINISHED: TimedToken([], 1),

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import assert_schedule_invariants, make_corpus, run_checked
+from helpers import assert_schedule_invariants, by_arrival, make_corpus, run_checked
 from tcpnsched import (
     EngineState,
     Policy,
@@ -57,18 +57,17 @@ class TestPureOps:
     def test_select_remove_partition(self):
         for case in range(CASES):
             rng = random.Random(10_000 + case)
-            l = random_procs(rng, rng.randint(0, 12))
+            shuffled = random_procs(rng, rng.randint(0, 12))
+            l = by_arrival(shuffled)
             now = rng.randint(0, 60)
             sel, rem = select_arrived(l, now), remove_arrived(l, now)
             assert all(p.it <= now for p in sel)
             assert all(p.it > now for p in rem)
-            # Order-preserving partition: merging back by identity restores l.
-            sel_i, rem_i = iter(sel), iter(rem)
-            merged = [next(sel_i) if p.it <= now else next(rem_i) for p in l]
-            assert merged == l
-            # exists_arrived on a real NewTasks token reads its arrival cache;
-            # check it against a scan before and after the first Activate.
-            w = Workload(tuple(Process(pi=p.pi, it=p.it, st=p.st) for p in l))
+            # On a list sorted like NewTasks the arrived processes are a prefix.
+            assert sel + rem == l
+            # Check exists_arrived against a scan on the NewTasks tokens of a
+            # real run, before and after the first Activate.
+            w = Workload(tuple(Process(pi=p.pi, it=p.it, st=p.st) for p in shuffled))
             sn = build_net(w, Policy.FCFS)
             state = sn.initial_state()
             tokens = [state.marking[NEW_TASKS].value]
@@ -78,7 +77,6 @@ class TestPureOps:
                     break
             assert len(tokens) == (2 if l else 1)
             for token in tokens:
-                assert hasattr(token, "min_arrival"), "NewTasks token lost its arrival cache"
                 assert exists_arrived(token, now) == any(p.it <= now for p in token)
 
     def test_compare_antisymmetry(self):
@@ -167,7 +165,7 @@ class TestDispatch:
                 sn = build_net(one, policy)
                 state = EngineState(
                     marking={
-                        NEW_TASKS: TimedToken(list(procs), first),
+                        NEW_TASKS: TimedToken(by_arrival(procs), first),
                         READY_QUEUE: TimedToken([], first),
                         RUNNING: TimedToken([], now),
                         FINISHED: TimedToken([], first),
@@ -195,8 +193,9 @@ def corpus_runs(corpus):
     """Checked stepwise runs for every (workload, policy) pair.
 
     run_checked asserts the marking invariants (pi conservation, single
-    token per place, at most one running process, Dispatch never firing
-    with an arrived process pending) at every step.
+    token per place, at most one running process, NewTasks sorted by
+    ``(it, pi)`` with no arrived process left after Activate or Dispatch)
+    at every step.
     """
     runs = {}
     for i, w in enumerate(corpus):

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import by_arrival
 from tcpnsched import (
     EngineState,
     Policy,
@@ -60,22 +61,29 @@ def dispatch(table1, policy, ready_pis, clock):
 
 
 class TestArrivalOps:
+    # The list functions take NewTasks, which is sorted by (it, pi).
     def test_select_arrived(self, table1):
-        l = list(table1.processes)
+        l = by_arrival(table1.processes)
         assert [p.pi for p in select_arrived(l, 1)] == [6]
+        assert [p.pi for p in select_arrived(l, 6)] == [6, 4, 1]
         assert select_arrived([], 99) == []
-        assert [p.pi for p in select_arrived([proc(1, it=6), proc(4, it=5)], 5)] == [4]
+        assert [p.pi for p in select_arrived([proc(4, it=5), proc(1, it=6)], 5)] == [4]
+        assert [p.pi for p in select_arrived([proc(2, it=5), proc(7, it=5)], 5)] == [2, 7]
 
     def test_remove_arrived(self, table1):
-        l = list(table1.processes)
-        assert [p.pi for p in remove_arrived(l, 1)] == [1, 2, 3, 4, 5]
+        l = by_arrival(table1.processes)
+        assert [p.pi for p in remove_arrived(l, 1)] == [4, 1, 2, 3, 5]
+        assert remove_arrived(l, 0) == l
         assert remove_arrived([], 99) == []
-        assert [p.pi for p in remove_arrived([proc(1, it=6), proc(4, it=5)], 5)] == [1]
+        assert [p.pi for p in remove_arrived([proc(4, it=5), proc(1, it=6)], 5)] == [1]
+        assert remove_arrived([proc(2, it=5), proc(7, it=5)], 5) == []
 
     def test_exists_arrived(self, table1):
-        l = list(table1.processes)
+        l = by_arrival(table1.processes)
         assert exists_arrived(l, 0) is False
         assert exists_arrived(l, 1) is True
+        assert exists_arrived(l[1:], 4) is False
+        assert exists_arrived(l[1:], 5) is True
         assert exists_arrived([], 0) is False
 
 
@@ -125,7 +133,8 @@ class TestPriorityUpdates:
         assert update_all([], Policy.HRRN, 3) == []
 
     def test_update_all_fcfs_majors_are_arrivals(self, table1):
-        l = select_arrived(list(table1.processes), 7)
+        l = select_arrived(by_arrival(table1.processes), 7)
+        assert [p.pi for p in l] == [6, 4, 1, 2]
         u = update_all(l, Policy.FCFS, 7)
         assert [p.pr.major for p in u] == [p.it for p in l]
 
@@ -189,7 +198,7 @@ class TestStamps:
         assert set_execution_start(proc(1), 0).es == 0
 
     def test_is_idle(self, table1):
-        remainder = remove_arrived(list(table1.processes), 1)
+        remainder = remove_arrived(by_arrival(table1.processes), 1)
         assert is_idle([], remainder, [], 4) is True
         assert is_idle([], remainder, [table1.processes[5]], 4) is False
         assert is_idle([], [], [], 4) is False
@@ -224,13 +233,13 @@ class TestFullRuns:
             build_net(bad, Policy.FCFS)
 
     def test_plain_list_markings_work_without_cache(self, table1):
-        # Guards fall back to scanning when a marking is built by hand.
+        # A hand-built marking needs only a plain list, sorted like NewTasks.
         from tcpnsched import run
 
         sn = build_net(table1, Policy.FCFS)
         state = EngineState(
             marking={
-                NEW_TASKS: TimedToken(list(table1.processes), 0),
+                NEW_TASKS: TimedToken(by_arrival(table1.processes), 0),
                 READY_QUEUE: TimedToken([], 0),
                 RUNNING: TimedToken([], 0),
                 FINISHED: TimedToken([], 0),
