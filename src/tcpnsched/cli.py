@@ -40,13 +40,14 @@ def _load_workload(source: str) -> Workload:
     return parse_workload(data, fmt=fmt, name=path.stem)
 
 
-def _resolve_step_limit(flag_value: int | None) -> int:
+def _resolve_step_limit(flag_value: int | None) -> int | None:
+    """The flag, else the environment; None leaves ``simulate`` its default."""
     if flag_value is not None:
         source, limit = "--step-limit", flag_value
     else:
         raw = os.environ.get(STEP_LIMIT_ENV)
         if raw is None:
-            return DEFAULT_STEP_LIMIT
+            return None
         try:
             limit = int(raw)
         except ValueError:
@@ -223,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--step-limit",
         type=int,
         default=None,
-        help=f"kernel firing budget (default {DEFAULT_STEP_LIMIT}, env {STEP_LIMIT_ENV})",
+        help=f"kernel firing budget (default the larger of {DEFAULT_STEP_LIMIT} and 4 per process, "
+        f"env {STEP_LIMIT_ENV})",
     )
 
     p_run = sub.add_parser("run", parents=[common], help="run one schedule and print the result")

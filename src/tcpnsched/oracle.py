@@ -1,16 +1,21 @@
 """Independent event-driven non-preemptive scheduler used for differential testing.
 
 This module deliberately shares no code with the net kernel or the scheduler
-net: selection works by ranking key tuples with min(), not by pairwise
-comparison, so agreement between the two paths is evidence rather than
-tautology. Only the data model (Process/Policy) is shared.
+net: selection works by ranking key tuples, never by pairwise comparison, so
+agreement between the two paths is evidence rather than tautology. Under
+FCFS, SJF and PR a process's rank does not depend on the clock, so each
+process is ranked once, on arrival, and the ready set is a binary heap of
+``(rank, process)`` entries. Under HRRN the rank grows with the wait, so each
+dispatch ranks every ready process afresh and takes the minimum. Only the
+data model (Process/Policy) is shared.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .workload import Policy, PriorityPair, Process, Workload, WorkloadError, validate_workload
 
@@ -29,27 +34,21 @@ class OracleEvent:
     pr: PriorityPair
 
 
-def _recorded_priority(p: Process, now: int, policy: Policy) -> tuple[int, int]:
-    # A plain (major, minor) tuple: _rank calls this for every ready process
-    # at every dispatch, and only the recorded event needs a PriorityPair.
-    waiting = now - p.it
+def _rank_key(policy: Policy, now: int) -> Callable[[Process], tuple[int, int, int]]:
+    """The key ranking a ready process at ``now``: the smallest tuple wins.
+
+    The tuple is ``(major, minor, pi)`` of the priority pair the dispatch
+    records. Majors whose greater value is higher priority (PR, HRRN) are
+    negated; minors and the index always prefer the earlier/lower value.
+    Since ``pi`` is unique, two ranks never tie. Only HRRN reads ``now``.
+    """
     if policy is Policy.FCFS:
-        return (p.it, 0)
+        return lambda p: (p.it, 0, p.pi)
     if policy is Policy.SJF:
-        return (p.st, p.it)
+        return lambda p: (p.st, p.it, p.pi)
     if policy is Policy.PR:
-        return (p.pr.major, p.it)
-    return ((p.st + waiting) * 100 // p.st, 0)
-
-
-def _rank(p: Process, now: int, policy: Policy) -> tuple[int, int, int]:
-    # Smallest tuple wins. Majors whose greater value is higher priority
-    # (PR, HRRN) are negated; minors and the index always prefer the
-    # earlier/lower value.
-    major, minor = _recorded_priority(p, now, policy)
-    if policy is Policy.PR or policy is Policy.HRRN:
-        major = -major
-    return (major, minor, p.pi)
+        return lambda p: (-p.pr.major, p.it, p.pi)
+    return lambda p: (-((p.st + now - p.it) * 100 // p.st), 0, p.pi)
 
 
 def oracle_schedule(w: Workload, policy: Policy) -> list[OracleEvent]:
@@ -63,8 +62,12 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[OracleEvent]:
     if violations:
         raise WorkloadError("; ".join(violations))
 
+    # FCFS, SJF and PR ranks ignore the clock, so one key serves the run.
+    static = policy is not Policy.HRRN
+    key = _rank_key(policy, 0)
     pending = sorted(w.processes, key=lambda p: (p.it, p.pi))
-    ready: list[Process] = []
+    # Static policies: a heap of (rank, process); HRRN: the arrived processes.
+    ready: list = []
     events: list[OracleEvent] = []
     t = 0
     i = 0
@@ -72,17 +75,26 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[OracleEvent]:
         if not ready and pending[i].it > t:
             t = pending[i].it
         while i < len(pending) and pending[i].it <= t:
-            ready.append(pending[i])
+            p = pending[i]
+            if static:
+                heapq.heappush(ready, (key(p), p))
+            else:
+                ready.append(p)
             i += 1
-        best = min(ready, key=lambda p: _rank(p, t, policy))
-        ready.remove(best)
+        if static:
+            rank, best = heapq.heappop(ready)
+        else:
+            ranks = list(map(_rank_key(policy, t), ready))
+            rank = min(ranks)
+            best = ready.pop(ranks.index(rank))
+        major, minor, _ = rank
         events.append(
             OracleEvent(
                 pi=best.pi,
                 dispatch=t,
                 finish=t + best.st,
                 waiting=t - best.it,
-                pr=PriorityPair(*_recorded_priority(best, t, policy)),
+                pr=PriorityPair(-major if policy in (Policy.PR, Policy.HRRN) else major, minor),
             )
         )
         t += best.st

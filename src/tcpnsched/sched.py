@@ -325,7 +325,14 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     return SchedulerNet(policy=policy, workload=w, net=net)
 
 
-def simulate(w: Workload, policy: Policy, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
-    """Build the net for ``(w, policy)`` and run it to completion."""
+def simulate(w: Workload, policy: Policy, step_limit: int | None = None) -> EngineState:
+    """Build the net for ``(w, policy)`` and run it to completion.
+
+    Without a ``step_limit`` the firing budget is the larger of
+    ``DEFAULT_STEP_LIMIT`` and 4n, the most firings a run of n processes
+    takes (one Idle, Activate, Dispatch and Execute each).
+    """
+    if step_limit is None:
+        step_limit = max(DEFAULT_STEP_LIMIT, 4 * len(w))
     sn = build_net(w, policy)
     return run(sn.net, sn.initial_state(), step_limit=step_limit)

@@ -5,9 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, IO, NamedTuple
+
+
+#: Every finish time must stay below this, so that the averages, which are
+#: at most the latest finish, fit in a float.
+_FINISH_LIMIT = 2**1023
 
 
 class WorkloadError(ValueError):
@@ -116,6 +122,8 @@ def validate_workload(w: Workload) -> list[str]:
             violations.append(f"{where}: fresh workload must have es = 0")
         if p.pr.minor != 0:
             violations.append(f"{where}: fresh workload must have minor priority 0")
+    if w.processes and max(p.it for p in w.processes) + sum(p.st for p in w.processes) >= _FINISH_LIMIT:
+        violations.append("latest possible finish max(it) + sum(st) must be below 2**1023")
     return violations
 
 
@@ -147,6 +155,12 @@ def _parse_json(text: str) -> list[Process]:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise WorkloadError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError:
+        # The only other ValueError json.loads raises: Python's cap on the
+        # digits of an int parsed from text.
+        raise WorkloadError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(data, list):
         raise WorkloadError("workload JSON must be an array of process objects")
     procs = []
@@ -193,6 +207,13 @@ def _parse_csv(text: str) -> list[Process]:
             try:
                 fields[name] = int(cell)
             except ValueError:
+                digits = cell[1:] if cell[:1] in "+-" else cell
+                if digits.isdecimal():
+                    # Well-formed, so int() refused it for Python's digit cap.
+                    raise WorkloadError(
+                        f"{where}: field {name!r} has {len(digits)} digits, "
+                        f"more than the limit of {sys.get_int_max_str_digits()}"
+                    ) from None
                 raise WorkloadError(f"{where}: field {name!r} must be an integer, got {cell!r}") from None
         procs.append(_process_from_fields(fields))
     return procs

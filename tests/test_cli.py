@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tcpnsched import Policy, serialize_workload
+from tcpnsched import Policy, Process, Workload, sched, serialize_workload, simulate
 from tcpnsched import cli
 
 HRRN_EXPECTED = {
@@ -98,6 +98,27 @@ class TestRun:
         assert cpn == orc
         assert json.loads(cpn)["idle"] == [[1, 5000000]]
 
+    def test_default_step_budget_covers_the_4n_bound(self, capsys, tmp_path, monkeypatch):
+        # A chain with it=2i+1 and st=1 takes exactly 4n firings: Idle,
+        # Activate, Dispatch and Execute per process. Lowering the 1,000,000
+        # floor to 1,000 lets 2,500 processes stand in for 250,001. The CLI's
+        # own copy of the name is lowered too, so the CLI cannot pass by
+        # supplying a fixed default of its own.
+        monkeypatch.delenv(cli.STEP_LIMIT_ENV, raising=False)
+        monkeypatch.setattr(sched, "DEFAULT_STEP_LIMIT", 1_000)
+        monkeypatch.setattr(cli, "DEFAULT_STEP_LIMIT", 1_000)
+        n = 2_500
+        w = Workload(tuple(Process(pi=i + 1, it=2 * i + 1, st=1) for i in range(n)))
+        assert len(simulate(w, Policy.FCFS).trace) == 4 * n
+        path = tmp_path / "chain.json"
+        path.write_text(serialize_workload(w, "json"))
+        code, _, err = invoke(capsys, "run", "--workload", str(path))
+        assert code == 0, err
+        # An explicit budget still wins, even below the bound.
+        code, _, err = invoke(capsys, "run", "--workload", str(path), "--step-limit", str(4 * n - 1))
+        assert code == 2
+        assert f"did not halt within {4 * n - 1} firings" in err
+
 
 class TestErrorPaths:
     def test_unknown_policy_exits_1_and_lists_valid(self, capsys):
@@ -111,11 +132,23 @@ class TestErrorPaths:
         assert "cannot read workload file" in err
 
     def test_malformed_workload_exits_1(self, capsys, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('[{"pi": 1, "it": 0, "st": 0}]')
-        code, _, err = invoke(capsys, "run", "--policy", "fcfs", "--workload", str(path))
-        assert code == 1
-        assert "service time" in err
+        huge = "9" * 5_000
+        cases = (
+            ("bad.json", '[{"pi": 1, "it": 0, "st": 0}]', "service time"),
+            # Beyond Python's cap on the digits of an int parsed from text.
+            ("digits.json", f'[{{"pi": 1, "it": {huge}, "st": 1}}]', "more than 4300 digits"),
+            ("digits.csv", f"pi,it,st\n1,{huge},1\n", "more than the limit of 4300"),
+            # Parses, but the averages would not fit a float.
+            ("float.json", f'[{{"pi": 1, "it": 0, "st": {10**400}}}]', "below 2**1023"),
+        )
+        for name, text, message in cases:
+            path = tmp_path / name
+            path.write_text(text)
+            for engine in ("cpn", "oracle"):
+                code, _, err = invoke(capsys, "run", "--workload", str(path), "--engine", engine)
+                assert code == 1, (name, engine)
+                assert message in err, (name, engine, err)
+                assert huge not in err, "the offending cell must not be echoed"
 
     def test_step_limit_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.STEP_LIMIT_ENV, "3")

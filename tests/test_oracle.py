@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from helpers import make_corpus
 from tcpnsched import (
     Policy,
+    PriorityPair,
     Process,
     Workload,
     WorkloadError,
@@ -74,6 +76,75 @@ class TestSelfChecks:
                 assert e.dispatch == max(prev_finish, next_arrival)
                 undispatched.discard(e.pi)
                 prev_finish = e.finish
+
+
+def reference_schedule(w: Workload, policy: Policy) -> list[tuple]:
+    """The brute-force rule the oracle must reproduce, as event tuples.
+
+    At each dispatch, rank every arrived process afresh at that instant and
+    take the minimum of (major, minor, pi), with PR and HRRN majors negated.
+    """
+
+    def pair(p: Process, now: int) -> tuple[int, int]:
+        if policy is Policy.FCFS:
+            return (p.it, 0)
+        if policy is Policy.SJF:
+            return (p.st, p.it)
+        if policy is Policy.PR:
+            return (p.pr.major, p.it)
+        return ((p.st + now - p.it) * 100 // p.st, 0)
+
+    sign = -1 if policy in (Policy.PR, Policy.HRRN) else 1
+    left = list(w.processes)
+    events = []
+    t = 0
+    while left:
+        arrived = [p for p in left if p.it <= t]
+        if not arrived:
+            t = min(p.it for p in left)
+            continue
+        best = min(arrived, key=lambda p: (sign * pair(p, t)[0], pair(p, t)[1], p.pi))
+        left.remove(best)
+        events.append((best.pi, t, t + best.st, t - best.it, pair(best, t)))
+        t += best.st
+    return events
+
+
+def _bursts(seed: int, n: int = 300) -> Workload:
+    # Two instants, short services and two priorities: most ranks tie on the
+    # major field, many on the minor field too, so pi decides.
+    rng = random.Random(seed)
+    procs = [
+        Process(pi=pi, it=rng.choice((0, 250)), st=rng.randint(1, 3), pr=PriorityPair(rng.randint(0, 1), 0))
+        for pi in range(1, n + 1)
+    ]
+    rng.shuffle(procs)
+    return Workload(tuple(procs), name=f"burst-{seed}")
+
+
+def _hrrn_floor_ties(seed: int) -> Workload:
+    # With st >= 101, ratios floor to the same x100 value over whole ranges of waits.
+    rng = random.Random(seed)
+    procs = [
+        Process(pi=pi, it=rng.randint(0, 40), st=rng.randint(101, 400), pr=PriorityPair(rng.randint(0, 1), 0))
+        for pi in range(1, 41)
+    ]
+    rng.shuffle(procs)
+    return Workload(tuple(procs), name=f"hrrn-ties-{seed}")
+
+
+class TestAgainstReferenceRule:
+    CASES = (
+        make_corpus(11, 300)
+        + [_bursts(seed) for seed in range(3)]
+        + [_hrrn_floor_ties(seed) for seed in range(20)]
+    )
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_events_equal_the_brute_force_rule(self, policy):
+        for w in self.CASES:
+            got = [(e.pi, e.dispatch, e.finish, e.waiting, tuple(e.pr)) for e in oracle_schedule(w, policy)]
+            assert got == reference_schedule(w, policy), f"{w.name} under {policy.value}"
 
 
 class TestDiff:

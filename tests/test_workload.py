@@ -69,6 +69,13 @@ class TestValidate:
         report = "; ".join(validate_workload(w))
         assert "wt = 0" in report and "es = 0" in report
 
+    def test_latest_finish_must_fit_a_float(self):
+        # max(it) + sum(st) bounds every finish time and so every average.
+        fits = Workload((Process(1, 2**1022, 1), Process(2, 0, 2**1022 - 2)))
+        assert validate_workload(fits) == []
+        over = Workload((Process(1, 2**1022, 1), Process(2, 0, 2**1022 - 1)))
+        assert validate_workload(over) == ["latest possible finish max(it) + sum(st) must be below 2**1023"]
+
     def test_reports_are_complete(self):
         w = Workload((Process(1, -1, 0), Process(1, 0, 1)))
         assert len(validate_workload(w)) >= 3
@@ -162,6 +169,11 @@ class TestParseCsv:
     def test_bad_cell_reports_line(self):
         with pytest.raises(WorkloadError, match="line 3"):
             parse_workload("pi,it,st,priority\n1,0,2,0\n2,x,2,0\n", fmt="csv")
+
+    def test_cell_beyond_the_digit_cap_named_without_echo(self):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload("pi,it,st\n1,-%s,1\n" % ("9" * 5_000), fmt="csv")
+        assert str(info.value) == "line 2: field 'it' has 5000 digits, more than the limit of 4300"
 
     def test_ragged_row(self):
         with pytest.raises(WorkloadError, match="expected 4 cells"):
