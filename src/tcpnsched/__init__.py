@@ -17,15 +17,12 @@ from .kernel import (
 )
 from .metrics import (
     Aggregates,
-    GanttSegment,
     ScheduleResult,
     compute_metrics,
-    extract_gantt,
     gantt_csv,
-    result_from_events,
     result_from_processes,
 )
-from .oracle import OracleEvent, diff_results, oracle_schedule, random_workload
+from .oracle import diff_results, oracle_schedule, random_workload
 from .sched import SchedulerNet, build_net, simulate
 from .workload import (
     Policy,
@@ -47,9 +44,7 @@ __all__ = [
     "EngineError",
     "EngineState",
     "FiringEvent",
-    "GanttSegment",
     "Net",
-    "OracleEvent",
     "Policy",
     "PriorityPair",
     "Process",
@@ -66,12 +61,10 @@ __all__ = [
     "compute_metrics",
     "diff_results",
     "enabled",
-    "extract_gantt",
     "gantt_csv",
     "oracle_schedule",
     "parse_workload",
     "random_workload",
-    "result_from_events",
     "result_from_processes",
     "run",
     "serialize_workload",

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .kernel import DEFAULT_STEP_LIMIT, EngineError, trace_records
-from .metrics import ScheduleResult, compute_metrics, gantt_csv, result_from_events
+from .metrics import ScheduleResult, compute_metrics, gantt_csv, result_from_processes
 from .oracle import diff_results, oracle_schedule, random_workload
 from .sched import simulate
 from .workload import (
@@ -123,8 +123,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = compute_metrics(state, w, policy)
         trace = trace_records(state.trace) if args.trace else []
     else:
-        events = oracle_schedule(w, policy)
-        result = result_from_events(events, w, policy)
+        result = result_from_processes(oracle_schedule(w, policy), w, policy)
         trace = []
 
     if args.format == "json":
@@ -143,15 +142,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _disagreement(w: Workload, policy: Policy, step_limit: int | None) -> list[str]:
+    """Run the engine and the oracle on ``w``; the divergences, empty if they agree."""
+    result = compute_metrics(simulate(w, policy, step_limit=step_limit), w, policy)
+    return diff_results(result, oracle_schedule(w, policy), oracle_policy=policy)
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     policy = Policy.from_name(args.policy)
     w = _load_workload(args.workload)
     step_limit = _resolve_step_limit(args.step_limit)
 
-    state = simulate(w, policy, step_limit=step_limit)
-    result = compute_metrics(state, w, policy)
-    events = oracle_schedule(w, policy)
-    report = diff_results(result, events, oracle_policy=policy)
+    report = _disagreement(w, policy, step_limit)
     if report:
         for line in report:
             print(line)
@@ -177,10 +179,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         case_failed = False
         for policy in Policy:
             total += 1
-            state = simulate(w, policy, step_limit=step_limit)
-            result = compute_metrics(state, w, policy)
-            events = oracle_schedule(w, policy)
-            report = diff_results(result, events, oracle_policy=policy)
+            report = _disagreement(w, policy, step_limit)
             if report:
                 case_failed = True
                 print(f"seed {case_seed} policy {policy.value}: {report[0]}")

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 from .kernel import EngineError, EngineState
 from .sched import FINISHED
-from .workload import Policy, PriorityPair, Process, Workload
-
-if TYPE_CHECKING:
-    from .oracle import OracleEvent
+from .workload import Policy, Process, Workload
 
 
 @dataclass(frozen=True)
@@ -18,16 +15,6 @@ class Aggregates:
     avg_waiting: float
     avg_turnaround: float
     utilization: float
-
-
-@dataclass(frozen=True)
-class GanttSegment:
-    """One tile of the schedule: a run of one process, or an idle gap."""
-
-    kind: str  # "run" | "idle"
-    pi: int | None
-    start: int
-    finish: int
 
 
 @dataclass(frozen=True)
@@ -108,40 +95,13 @@ def compute_metrics(final: EngineState, w: Workload, policy: Policy) -> Schedule
     return result_from_processes(finished, w, policy)
 
 
-def result_from_events(
-    events: Iterable["OracleEvent"], w: Workload, policy: Policy
-) -> ScheduleResult:
-    """Build a ScheduleResult from oracle dispatch events."""
-    by_pi = {p.pi: p for p in w.processes}
-    finished = []
-    for e in events:
-        if e.pi not in by_pi:
-            raise EngineError(f"oracle event names unknown process {e.pi}")
-        p = by_pi[e.pi]
-        finished.append(
-            Process(pi=p.pi, it=p.it, st=p.st, wt=e.waiting, es=e.dispatch, pr=PriorityPair(*e.pr))
-        )
-    return result_from_processes(finished, w, policy)
-
-
-def extract_gantt(result: ScheduleResult) -> list[GanttSegment]:
-    """Run and idle segments sorted by start, tiling [lead_in, makespan]."""
-    segments = [
-        GanttSegment(kind="run", pi=p.pi, start=p.es, finish=p.es + p.st)
-        for p in result.finished
-    ]
-    segments.extend(
-        GanttSegment(kind="idle", pi=None, start=s, finish=e)
-        for s, e in result.idle_intervals
-    )
-    segments.sort(key=lambda seg: seg.start)
-    return segments
-
-
 def gantt_csv(result: ScheduleResult) -> str:
-    """Gantt data as CSV with header ``kind,pi,start,finish``."""
-    lines = ["kind,pi,start,finish"]
-    for seg in extract_gantt(result):
-        pi = "" if seg.pi is None else seg.pi
-        lines.append(f"{seg.kind},{pi},{seg.start},{seg.finish}")
-    return "\n".join(lines) + "\n"
+    """Gantt data as CSV with header ``kind,pi,start,finish``.
+
+    One row per run and per idle gap, sorted by start, tiling
+    [lead_in, makespan].
+    """
+    rows = [(p.es, f"run,{p.pi},{p.es},{p.es + p.st}") for p in result.finished]
+    rows.extend((s, f"idle,,{s},{e}") for s, e in result.idle_intervals)
+    rows.sort(key=lambda row: row[0])
+    return "\n".join(["kind,pi,start,finish", *(line for _, line in rows)]) + "\n"

@@ -6,32 +6,23 @@ agreement between the two paths is evidence rather than tautology. Under
 FCFS, SJF and PR a process's rank does not depend on the clock, so each
 process is ranked once, on arrival, and the ready set is a binary heap of
 ``(rank, process)`` entries. Under HRRN the rank grows with the wait, so each
-dispatch ranks every ready process afresh and takes the minimum. Only the
-data model (Process/Policy) is shared.
+dispatch ranks every ready process afresh and takes the minimum.
+
+The schedule it returns is the one the net ends with in Finished: the
+stamped ``Process`` records in completion order. Only the data model
+(Process/Policy/PriorityPair) is shared.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .workload import Policy, PriorityPair, Process, Workload, WorkloadError, validate_workload
 
 if TYPE_CHECKING:
     from .metrics import ScheduleResult
-
-
-@dataclass(frozen=True)
-class OracleEvent:
-    """One dispatch: the machine picks ``pi`` at ``dispatch`` and runs it to ``finish``."""
-
-    pi: int
-    dispatch: int
-    finish: int
-    waiting: int
-    pr: PriorityPair
 
 
 def _rank_key(policy: Policy, now: int) -> Callable[[Process], tuple[int, int, int]]:
@@ -51,12 +42,14 @@ def _rank_key(policy: Policy, now: int) -> Callable[[Process], tuple[int, int, i
     return lambda p: (-((p.st + now - p.it) * 100 // p.st), 0, p.pi)
 
 
-def oracle_schedule(w: Workload, policy: Policy) -> list[OracleEvent]:
+def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
     """Directly simulate the non-preemptive schedule, one dispatch at a time.
 
     Whenever the machine is free: if nothing has arrived, jump to the next
     arrival; otherwise dispatch the best-ranked arrived process and run it
-    to completion. Events are returned in dispatch order.
+    to completion. Returns the finished records in completion order, each
+    stamped at its dispatch instant t with es = t, wt = t - it and the
+    priority pair it was ranked by.
     """
     violations = validate_workload(w)
     if violations:
@@ -68,7 +61,7 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[OracleEvent]:
     pending = sorted(w.processes, key=lambda p: (p.it, p.pi))
     # Static policies: a heap of (rank, process); HRRN: the arrived processes.
     ready: list = []
-    events: list[OracleEvent] = []
+    finished: list[Process] = []
     t = 0
     i = 0
     while i < len(pending) or ready:
@@ -88,28 +81,21 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[OracleEvent]:
             rank = min(ranks)
             best = ready.pop(ranks.index(rank))
         major, minor, _ = rank
-        events.append(
-            OracleEvent(
-                pi=best.pi,
-                dispatch=t,
-                finish=t + best.st,
-                waiting=t - best.it,
-                pr=PriorityPair(-major if policy in (Policy.PR, Policy.HRRN) else major, minor),
-            )
-        )
+        pr = PriorityPair(-major if policy in (Policy.PR, Policy.HRRN) else major, minor)
+        finished.append(Process(pi=best.pi, it=best.it, st=best.st, wt=t - best.it, es=t, pr=pr))
         t += best.st
-    return events
+    return finished
 
 
 def diff_results(
     engine: "ScheduleResult",
-    oracle: Sequence[OracleEvent],
+    oracle: Sequence[Process],
     oracle_policy: Policy | None = None,
 ) -> list[str]:
-    """Compare an engine result against oracle events; empty means agreement.
+    """Compare an engine result against the oracle's records; empty means agreement.
 
-    Checks dispatch order, dispatch times, finish times, waiting times and
-    recorded priority pairs, reporting the first divergence found.
+    Checks the completion order, then every field of every finished record,
+    reporting the first divergence found.
     """
     if oracle_policy is not None and oracle_policy is not engine.policy:
         return [
@@ -120,17 +106,20 @@ def diff_results(
             f"length mismatch: engine finished {len(engine.finished)} processes, "
             f"oracle dispatched {len(oracle)}"
         ]
-    for pos, (p, e) in enumerate(zip(engine.finished, oracle)):
-        if p.pi != e.pi:
-            return [f"position {pos}: engine dispatched pi={p.pi}, oracle dispatched pi={e.pi}"]
-        if p.es != e.dispatch:
-            return [f"pi={p.pi}: dispatch time differs (engine {p.es}, oracle {e.dispatch})"]
-        if p.es + p.st != e.finish:
-            return [f"pi={p.pi}: finish time differs (engine {p.es + p.st}, oracle {e.finish})"]
-        if p.wt != e.waiting:
-            return [f"pi={p.pi}: waiting time differs (engine {p.wt}, oracle {e.waiting})"]
-        if tuple(p.pr) != tuple(e.pr):
-            return [f"pi={p.pi}: priority pair differs (engine {tuple(p.pr)}, oracle {tuple(e.pr)})"]
+    for pos, (p, q) in enumerate(zip(engine.finished, oracle)):
+        if p.pi != q.pi:
+            return [f"position {pos}: engine dispatched pi={p.pi}, oracle dispatched pi={q.pi}"]
+        if p == q:
+            continue
+        for label, a, b in (
+            ("dispatch time", p.es, q.es),
+            ("waiting time", p.wt, q.wt),
+            ("priority pair", tuple(p.pr), tuple(q.pr)),
+            ("arrival time", p.it, q.it),
+            ("service time", p.st, q.st),
+        ):
+            if a != b:
+                return [f"pi={p.pi}: {label} differs (engine {a}, oracle {b})"]
     return []
 
 

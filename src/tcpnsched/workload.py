@@ -161,6 +161,9 @@ def _parse_json(text: str) -> list[Process]:
         raise WorkloadError(
             f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from None
+    except RecursionError:
+        # json.loads recurses once per nested array or object.
+        raise WorkloadError("invalid JSON: nested too deeply") from None
     if not isinstance(data, list):
         raise WorkloadError("workload JSON must be an array of process objects")
     procs = []
@@ -180,12 +183,16 @@ def _parse_json(text: str) -> list[Process]:
 
 
 def _parse_csv(text: str) -> list[Process]:
-    reader = csv.reader(io.StringIO(text))
+    # newline="" lets the reader split lines itself, so CR-only files parse.
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise WorkloadError("line 1: missing CSV header 'pi,it,st,priority'") from None
-    header = [h.strip() for h in header]
+        rows = list(reader)
+    except csv.Error as e:
+        # The reader's own errors, such as a cell over its size limit, quote no cell.
+        raise WorkloadError(f"line {reader.line_num}: {e}") from None
+    if not rows:
+        raise WorkloadError("line 1: missing CSV header 'pi,it,st,priority'")
+    header = [h.strip() for h in rows[0]]
     unknown = [h for h in header if h not in _JSON_FIELDS]
     if unknown:
         raise WorkloadError(f"line 1: unknown column {unknown[0]!r}")
@@ -193,7 +200,7 @@ def _parse_csv(text: str) -> list[Process]:
     if missing:
         raise WorkloadError(f"line 1: missing column {missing[0]!r}")
     procs = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):

@@ -87,7 +87,7 @@ def test_criterion_3_derived_goldens(table1, policy, golden):
     # Oracle first: the independent path must reproduce the frozen fixture.
     events = oracle_schedule(table1, policy)
     assert [e.pi for e in events] == order
-    assert [e.dispatch for e in events] == starts
+    assert [e.es for e in events] == starts
     # Then the CPN engine must match it.
     state = simulate(table1, policy)
     finished = state.marking[FINISHED].value

@@ -140,14 +140,19 @@ class TestErrorPaths:
             ("digits.csv", f"pi,it,st\n1,{huge},1\n", "more than the limit of 4300"),
             # Parses, but the averages would not fit a float.
             ("float.json", f'[{{"pi": 1, "it": 0, "st": {10**400}}}]', "below 2**1023"),
+            # Deeper than json.loads can recurse.
+            ("deep5k.json", "[" * 5_000 + "]" * 5_000, "nested too deeply"),
+            ("deep100k.json", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+            # Beyond the csv module's cell size limit of 131,072 characters.
+            ("wide.csv", f"pi,it,st\n1,0,{'9' * 200_000}\n", "line 2: field larger than field limit"),
         )
         for name, text, message in cases:
             path = tmp_path / name
             path.write_text(text)
-            for engine in ("cpn", "oracle"):
-                code, _, err = invoke(capsys, "run", "--workload", str(path), "--engine", engine)
-                assert code == 1, (name, engine)
-                assert message in err, (name, engine, err)
+            for argv in (("run", "--engine", "cpn"), ("run", "--engine", "oracle"), ("compare",)):
+                code, _, err = invoke(capsys, *argv, "--workload", str(path))
+                assert code == 1, (name, argv)
+                assert err.startswith("error:") and message in err, (name, argv, err)
                 assert huge not in err, "the offending cell must not be echoed"
 
     def test_step_limit_env_exits_2(self, capsys, monkeypatch):
@@ -195,8 +200,8 @@ class TestCompare:
         real = cli.oracle_schedule
 
         def skewed(w, policy):
-            events = real(w, policy)
-            return [dataclasses.replace(events[0], dispatch=events[0].dispatch + 1)] + events[1:]
+            records = real(w, policy)
+            return [dataclasses.replace(records[0], es=records[0].es + 1)] + records[1:]
 
         monkeypatch.setattr(cli, "oracle_schedule", skewed)
         code, out, _ = invoke(capsys, "compare", "--policy", "fcfs")
@@ -227,10 +232,10 @@ class TestFuzz:
         real = cli.oracle_schedule
 
         def skewed(w, policy):
-            events = real(w, policy)
-            if w.name == "fuzz-9" and events:
-                return [dataclasses.replace(events[0], waiting=events[0].waiting + 1)] + events[1:]
-            return events
+            records = real(w, policy)
+            if w.name == "fuzz-9" and records:
+                return [dataclasses.replace(records[0], wt=records[0].wt + 1)] + records[1:]
+            return records
 
         monkeypatch.setattr(cli, "oracle_schedule", skewed)
         code, out, _ = invoke(capsys, "fuzz", "--seed", "7", "--count", "5")

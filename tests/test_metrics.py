@@ -3,13 +3,12 @@ import pytest
 from tcpnsched import (
     EngineError,
     Policy,
+    PriorityPair,
     Process,
     Workload,
     compute_metrics,
-    extract_gantt,
     gantt_csv,
     oracle_schedule,
-    result_from_events,
     result_from_processes,
     simulate,
 )
@@ -18,6 +17,17 @@ from tcpnsched import (
 @pytest.fixture
 def fcfs_result(table1):
     return compute_metrics(simulate(table1, Policy.FCFS), table1, Policy.FCFS)
+
+
+def gantt_rows(result):
+    """The data rows of ``gantt_csv`` as (kind, pi, start, finish); pi is None for idle."""
+    header, *lines = gantt_csv(result).splitlines()
+    assert header == "kind,pi,start,finish"
+    rows = []
+    for line in lines:
+        kind, pi, start, finish = line.split(",")
+        rows.append((kind, int(pi) if pi else None, int(start), int(finish)))
+    return rows
 
 
 @pytest.fixture
@@ -66,13 +76,12 @@ class TestComputeMetrics:
         assert res.makespan == 0
         assert res.aggregates is None
         assert res.idle_intervals == ()
-        assert extract_gantt(res) == []
+        assert gantt_csv(res) == "kind,pi,start,finish\n"
 
 
 class TestGantt:
     def test_fcfs_segments(self, fcfs_result):
-        segs = [(s.kind, s.pi, s.start, s.finish) for s in extract_gantt(fcfs_result)]
-        assert segs == [
+        assert gantt_rows(fcfs_result) == [
             ("run", 6, 1, 4),
             ("idle", None, 4, 5),
             ("run", 4, 5, 7),
@@ -83,15 +92,15 @@ class TestGantt:
         ]
 
     def test_hrrn_tail_segments(self, hrrn_result):
-        segs = [(s.pi, s.start, s.finish) for s in extract_gantt(hrrn_result) if s.kind == "run"]
+        segs = [(pi, start, finish) for kind, pi, start, finish in gantt_rows(hrrn_result) if kind == "run"]
         assert segs[-3:] == [(3, 11, 13), (2, 13, 16), (5, 16, 19)]
 
     def test_segments_tile_lead_in_to_makespan(self, fcfs_result):
-        segs = extract_gantt(fcfs_result)
-        assert segs[0].start == fcfs_result.lead_in
-        assert segs[-1].finish == fcfs_result.makespan
+        segs = gantt_rows(fcfs_result)
+        assert segs[0][2] == fcfs_result.lead_in
+        assert segs[-1][3] == fcfs_result.makespan
         for a, b in zip(segs, segs[1:]):
-            assert a.finish == b.start, "gantt must tile with no gap or overlap"
+            assert a[3] == b[2], "gantt must tile with no gap or overlap"
 
     def test_csv_rows(self, fcfs_result):
         lines = gantt_csv(fcfs_result).splitlines()
@@ -104,17 +113,16 @@ class TestOracleAdapter:
     @pytest.mark.parametrize("policy", list(Policy))
     def test_oracle_events_yield_same_result(self, table1, policy):
         engine = compute_metrics(simulate(table1, policy), table1, policy)
-        via_events = result_from_events(oracle_schedule(table1, policy), table1, policy)
-        assert via_events.finished == engine.finished
-        assert via_events.idle_intervals == engine.idle_intervals
-        assert via_events.makespan == engine.makespan
+        via_oracle = result_from_processes(oracle_schedule(table1, policy), table1, policy)
+        assert via_oracle.finished == engine.finished
+        assert via_oracle.idle_intervals == engine.idle_intervals
+        assert via_oracle.makespan == engine.makespan
 
     def test_unknown_pi_rejected(self, table1):
-        from tcpnsched import OracleEvent, PriorityPair
-
-        bogus = [OracleEvent(pi=99, dispatch=0, finish=1, waiting=0, pr=PriorityPair(0, 0))]
-        with pytest.raises(EngineError, match="unknown process"):
-            result_from_events(bogus, table1, Policy.FCFS)
+        records = oracle_schedule(table1, Policy.FCFS)
+        bogus = records[:-1] + [Process(pi=99, it=0, st=1, wt=0, es=19, pr=PriorityPair(0, 0))]
+        with pytest.raises(EngineError, match="does not match the workload"):
+            result_from_processes(bogus, table1, Policy.FCFS)
 
     def test_single_process_workload(self):
         w = Workload((Process(1, 3, 2),))

@@ -166,6 +166,13 @@ class TestParseCsv:
         with pytest.raises(WorkloadError, match="missing column 'st'"):
             parse_workload("pi,it\n1,0\n", fmt="csv")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_any_line_ending(self, table1, newline):
+        src = newline.join(
+            ["pi,it,st,priority"] + [f"{p.pi},{p.it},{p.st},{p.pr.major}" for p in table1.processes]
+        )
+        assert parse_workload(src + newline, fmt="csv").processes == table1.processes
+
     def test_bad_cell_reports_line(self):
         with pytest.raises(WorkloadError, match="line 3"):
             parse_workload("pi,it,st,priority\n1,0,2,0\n2,x,2,0\n", fmt="csv")
