@@ -28,9 +28,18 @@ ready list. FCFS, SJF and PR priorities do not depend on the clock, so
 Activate stamps each process once with ``update_priority`` and inserts it
 into ReadyQueue, which those policies keep ordered by ``compare_process``
 with the best process last; Dispatch takes the last one. HRRN's response
-ratio grows with waiting time, so its ReadyQueue stays in arrival order and
-Dispatch computes the ratio of each ready process as a plain integer, then
-runs ``update_all`` and ``elect`` on the processes tied at the top ratio.
+ratio grows with waiting time, so Activate inserts its processes unstamped
+into a ReadyQueue sorted by ``(st, it, pi)``. Among processes with the same
+``st`` the ratio ``(st + now - it) * 100 // st`` never rises as ``it`` grows,
+and with equal ``(st, it)`` the ratios tie and ``compare_process`` picks the
+lower ``pi``. So the process the full refresh elects is the first record of
+some ``(st, it)`` group whose ratio equals the top ratio, and that top ratio
+is held by the head of some run of equal ``st``. Dispatch ranks each run's
+head as a plain integer, collects the first record of each ``(st, it)``
+group at the top ratio, and runs ``update_all`` and ``elect`` on those
+candidates only. A dispatch computes one ratio per distinct service time,
+plus one per ``(st, it)`` group the tie walk visits, rather than one per
+ready process.
 Only the dispatched process carries a refreshed waiting time and priority;
 the records left in ReadyQueue keep the ones they had.
 
@@ -66,6 +75,9 @@ PLACES = (NEW_TASKS, READY_QUEUE, RUNNING, FINISHED)
 HRRN_SCALE = 100
 
 _arrival = attrgetter("it")
+_service = attrgetter("st")
+_service_arrival = attrgetter("st", "it")
+_hrrn_order = attrgetter("st", "it", "pi")
 
 
 def select_arrived(l: list[Process], now: int) -> list[Process]:
@@ -225,17 +237,15 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
 
     # FCFS, SJF and PR priorities ignore the clock: those ReadyQueues stay
     # sorted ascending by compare_process, so the best process is last.
-    static = policy is not Policy.HRRN
-    order = cmp_to_key(lambda a, b: compare_process(a, b, policy))
+    # HRRN's ReadyQueue holds unstamped records sorted by (st, it, pi).
+    hrrn = policy is Policy.HRRN
+    order = _hrrn_order if hrrn else cmp_to_key(lambda a, b: compare_process(a, b, policy))
 
     def activate_action(v, clock):
         moved = select_arrived(v[NEW_TASKS], clock)
-        if static:
-            ready = list(v[READY_QUEUE])
-            for p in moved:
-                bisect.insort(ready, update_priority(policy, p), key=order)
-        else:
-            ready = v[READY_QUEUE] + moved
+        ready = list(v[READY_QUEUE])
+        for p in moved:
+            bisect.insort(ready, p if hrrn else update_priority(policy, p), key=order)
         outputs = {
             NEW_TASKS: TimedToken(remove_arrived(v[NEW_TASKS], clock), clock),
             READY_QUEUE: TimedToken(ready, clock),
@@ -260,18 +270,42 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         )
 
     def hrrn_winner(ready, clock):
-        # Only processes tied at the top ratio can win; the paper's refresh
-        # and election decide among them.
-        ratios = [hrrn_ratio(p.st, clock - p.it) for p in ready]
-        top = max(ratios)
-        tied = [i for i, r in enumerate(ratios) if r == top]
+        # Rank the head of each run of equal st; a run's head holds its top ratio.
+        q = len(ready)
+        top, heads = -1, []
+        i = 0
+        while i < q:
+            p = ready[i]
+            st = p.st
+            r = hrrn_ratio(st, clock - p.it)
+            if r >= top:
+                if r > top:
+                    top, heads = r, [i]
+                else:
+                    heads.append(i)
+            i += 1
+            if i < q and ready[i].st == st:
+                i = bisect.bisect_right(ready, st, lo=i, key=_service)
+        # Only the first record of an (st, it) group tied at the top ratio can
+        # win; the paper's refresh and election decide among them.
+        tied = []
+        for i in heads:
+            st = ready[i].st
+            while True:
+                tied.append(i)
+                it = ready[i].it
+                i += 1
+                if i < q and ready[i].st == st and ready[i].it == it:
+                    i = bisect.bisect_right(ready, (st, it), lo=i, key=_service_arrival)
+                if i == q or ready[i].st != st or hrrn_ratio(st, clock - ready[i].it) != top:
+                    break
         if len(tied) == 1:
             return tied[0]
         return tied[elect(update_all([ready[i] for i in tied], policy, clock), policy)]
 
     def dispatch_action(v, clock):
         ready = v[READY_QUEUE]
-        mx = len(ready) - 1 if static else hrrn_winner(ready, clock)
+        mx = hrrn_winner(ready, clock) if hrrn else len(ready) - 1
         chosen = update_priority(policy, update_proc_wait(ready[mx], clock))
         outputs = {
             RUNNING: TimedToken([chosen], clock),

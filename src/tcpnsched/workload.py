@@ -134,6 +134,8 @@ _REQUIRED_FIELDS = ("pi", "it", "st")
 def _as_int(value: Any, field: str, where: str) -> int:
     # bool is an int subclass; a true/false arrival time is a schema error.
     if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, tuple):
+            value = dict(value)  # a nested JSON object, shown as one
         raise WorkloadError(f"{where}: field {field!r} must be an integer, got {value!r}")
     return value
 
@@ -152,7 +154,9 @@ def _process_from_fields(fields: dict[str, int]) -> Process:
 
 def _parse_json(text: str) -> list[Process]:
     try:
-        data = json.loads(text)
+        # Objects decode to tuples of (key, value) pairs, so that a repeated
+        # key is seen rather than silently keeping its last value.
+        data = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as e:
         raise WorkloadError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError:
@@ -169,15 +173,22 @@ def _parse_json(text: str) -> list[Process]:
     procs = []
     for i, entry in enumerate(data):
         where = f"entry {i}"
-        if not isinstance(entry, dict):
+        if not isinstance(entry, tuple):
             raise WorkloadError(f"{where}: expected an object, got {type(entry).__name__}")
-        unknown = set(entry) - set(_JSON_FIELDS)
+        obj = dict(entry)
+        if len(obj) < len(entry):
+            seen = set()
+            for key, _ in entry:
+                if key in seen:
+                    raise WorkloadError(f"{where}: duplicate field {key!r}")
+                seen.add(key)
+        unknown = set(obj) - set(_JSON_FIELDS)
         if unknown:
             raise WorkloadError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-        missing = [f for f in _REQUIRED_FIELDS if f not in entry]
+        missing = [f for f in _REQUIRED_FIELDS if f not in obj]
         if missing:
             raise WorkloadError(f"{where}: missing field {missing[0]!r}")
-        fields = {k: _as_int(v, k, where) for k, v in entry.items()}
+        fields = {k: _as_int(v, k, where) for k, v in obj.items()}
         procs.append(_process_from_fields(fields))
     return procs
 
@@ -196,6 +207,11 @@ def _parse_csv(text: str) -> list[Process]:
     unknown = [h for h in header if h not in _JSON_FIELDS]
     if unknown:
         raise WorkloadError(f"line 1: unknown column {unknown[0]!r}")
+    seen = set()
+    for h in header:
+        if h in seen:
+            raise WorkloadError(f"line 1: duplicate column {h!r}")
+        seen.add(h)
     missing = [f for f in _REQUIRED_FIELDS if f not in header]
     if missing:
         raise WorkloadError(f"line 1: missing column {missing[0]!r}")

@@ -47,8 +47,9 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
     pi multiset over all places equals the workload's, Running holds at most
     one process, the clock never decreases, NewTasks is sorted by
     ``(it, pi)``, no arrived process sits in NewTasks after an Activate or a
-    Dispatch, and under FCFS, SJF and PR the ReadyQueue is ordered by
-    ``compare_process`` with the best process last.
+    Dispatch, under FCFS, SJF and PR the ReadyQueue is ordered by
+    ``compare_process`` with the best process last, and under HRRN it is
+    strictly ascending by ``(st, it, pi)``.
     """
     sn = build_net(w, policy)
     state = sn.initial_state()
@@ -85,6 +86,11 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
             ready = update_all(state.marking[READY_QUEUE].value, policy, state.clock)
             assert all(compare_process(a, b, policy) == -1 for a, b in zip(ready, ready[1:])), (
                 f"ReadyQueue not ordered best-last after {t.name}"
+            )
+        else:
+            ready = state.marking[READY_QUEUE].value
+            assert all((a.st, a.it, a.pi) < (b.st, b.it, b.pi) for a, b in zip(ready, ready[1:])), (
+                f"ReadyQueue not sorted by (st, it, pi) after {t.name}"
             )
         assert_marking()
     return state

@@ -143,6 +143,9 @@ class TestErrorPaths:
             # Deeper than json.loads can recurse.
             ("deep5k.json", "[" * 5_000 + "]" * 5_000, "nested too deeply"),
             ("deep100k.json", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+            # A repeated key or column would otherwise keep its last value.
+            ("dup.json", '[{"pi": 1, "it": 0, "st": 5, "st": 7}]', "entry 0: duplicate field 'st'"),
+            ("dup.csv", "pi,it,st,st\n1,0,5,7\n", "line 1: duplicate column 'st'"),
             # Beyond the csv module's cell size limit of 131,072 characters.
             ("wide.csv", f"pi,it,st\n1,0,{'9' * 200_000}\n", "line 2: field larger than field limit"),
         )

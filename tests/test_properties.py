@@ -22,6 +22,7 @@ from tcpnsched import (
     steps,
     trace_records,
 )
+from tcpnsched import sched
 from tcpnsched.sched import (
     FINISHED,
     NEW_TASKS,
@@ -30,6 +31,7 @@ from tcpnsched.sched import (
     compare_process,
     elect,
     exists_arrived,
+    hrrn_ratio,
     remove_arrived,
     select_arrived,
     update_all,
@@ -150,6 +152,36 @@ class TestDispatch:
         # process with the same waiting time and priority pair.
         # Any valid workload builds the net; the marking below is hand-built.
         one = Workload((Process(pi=1, it=0, st=1),))
+
+        def check(procs, now, first, policy, case):
+            sn = build_net(one, policy)
+            state = EngineState(
+                marking={
+                    NEW_TASKS: TimedToken(by_arrival(procs), first),
+                    READY_QUEUE: TimedToken([], first),
+                    RUNNING: TimedToken([], now),
+                    FINISHED: TimedToken([], first),
+                },
+                clock=first,
+            )
+            for t in steps(sn.net, state):
+                if t is not None and t.name == "Dispatch":
+                    break
+            assert state.clock == now
+            u = update_all(procs, policy, now)
+            expected = u[elect(u, policy)]
+            assert state.marking[RUNNING].value == [expected], (case, policy)
+            left = sorted(p.pi for p in state.marking[READY_QUEUE].value)
+            assert left == sorted(p.pi for p in procs if p.pi != expected.pi)
+
+        # HRRN shapes that stress its ReadyQueue order: few distinct service
+        # times, x100 floor ties across arrival times within one service
+        # time, and all service times distinct.
+        hrrn_shapes = (
+            lambda rng: (rng.randint(1, 3), rng.randint(0, 20)),
+            lambda rng: (rng.choice((150, 200, 300)), rng.randint(0, 9)),
+            lambda rng: (rng.randint(1, 10**6), rng.randint(0, rng.choice((20, 10**6)))),
+        )
         for case in range(CASES):
             rng = random.Random(70_000 + case)
             n = rng.randint(1, 12)
@@ -162,25 +194,33 @@ class TestDispatch:
             # at ``now``; Running frees at ``now``, so Dispatch waits for both.
             first = rng.randint(0, now)
             for policy in Policy:
-                sn = build_net(one, policy)
-                state = EngineState(
-                    marking={
-                        NEW_TASKS: TimedToken(by_arrival(procs), first),
-                        READY_QUEUE: TimedToken([], first),
-                        RUNNING: TimedToken([], now),
-                        FINISHED: TimedToken([], first),
-                    },
-                    clock=first,
-                )
-                for t in steps(sn.net, state):
-                    if t is not None and t.name == "Dispatch":
-                        break
-                assert state.clock == now
-                u = update_all(procs, policy, now)
-                expected = u[elect(u, policy)]
-                assert state.marking[RUNNING].value == [expected], (case, policy)
-                left = sorted(p.pi for p in state.marking[READY_QUEUE].value)
-                assert left == sorted(p.pi for p in procs if p.pi != expected.pi)
+                check(procs, now, first, policy, case)
+            for shape in hrrn_shapes:
+                procs = []
+                for pi in rng.sample(range(1, 40), rng.randint(1, 12)):
+                    st, it = shape(rng)
+                    procs.append(Process(pi=pi, it=it, st=st))
+                latest = max(p.it for p in procs)
+                now = rng.randint(latest, 2 * latest + 40)
+                check(procs, now, rng.randint(0, now), Policy.HRRN, case)
+
+    def test_hrrn_dispatch_ranks_run_heads_not_every_ready_process(self, monkeypatch):
+        # All n arrive at t=0 with st 1..20: a dispatch that ranked every
+        # ready process would compute about n**2 / 2 ratios.
+        calls = 0
+
+        def counting_ratio(st, wt):
+            nonlocal calls
+            calls += 1
+            return hrrn_ratio(st, wt)
+
+        rng = random.Random(2024)
+        n = 2_000
+        w = Workload(tuple(Process(pi=i, it=0, st=rng.randint(1, 20)) for i in range(1, n + 1)))
+        monkeypatch.setattr(sched, "hrrn_ratio", counting_ratio)
+        state = simulate(w, Policy.HRRN)
+        assert len(state.marking[FINISHED].value) == n
+        assert calls <= 25 * n, calls
 
 
 @pytest.fixture(scope="module")

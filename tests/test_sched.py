@@ -174,8 +174,9 @@ class TestElection:
     def test_hrrn_at_11_elects_p3(self, table1):
         l = [proc(2, pr=(233, 0)), proc(3, pr=(250, 0)), proc(5, pr=(166, 0))]
         assert elect(l, Policy.HRRN) == 1
-        # Dispatch runs the elected process and keeps the rest in order.
-        assert dispatch(table1, Policy.HRRN, [2, 3, 5], 11) == ([3], [2, 5])
+        # Dispatch runs the elected process and keeps the rest in order; an
+        # HRRN ReadyQueue is sorted by (st, it, pi).
+        assert dispatch(table1, Policy.HRRN, [3, 2, 5], 11) == ([3], [2, 5])
 
     def test_singleton(self, table1):
         l = [proc(6, pr=(1, 0))]

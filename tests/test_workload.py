@@ -122,6 +122,10 @@ class TestParseJson:
         with pytest.raises(WorkloadError, match="unknown field 'wt'"):
             parse_workload('[{"pi": 1, "it": 0, "st": 1, "wt": 5}]', fmt="json")
 
+    def test_duplicate_field_rejected(self):
+        with pytest.raises(WorkloadError, match="entry 0: duplicate field 'st'"):
+            parse_workload('[{"pi": 1, "it": 0, "st": 5, "st": 7}]', fmt="json")
+
     def test_missing_field_rejected(self):
         with pytest.raises(WorkloadError, match="missing field 'st'"):
             parse_workload('[{"pi": 1, "it": 0}]', fmt="json")
@@ -161,6 +165,10 @@ class TestParseCsv:
     def test_unknown_column(self):
         with pytest.raises(WorkloadError, match="unknown column 'wt'"):
             parse_workload("pi,it,st,wt\n1,0,2,0\n", fmt="csv")
+
+    def test_duplicate_column(self):
+        with pytest.raises(WorkloadError, match="line 1: duplicate column 'st'"):
+            parse_workload("pi,it,st,st\n1,0,5,7\n", fmt="csv")
 
     def test_missing_column(self):
         with pytest.raises(WorkloadError, match="missing column 'st'"):
