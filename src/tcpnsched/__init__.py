@@ -10,7 +10,6 @@ from .kernel import (
     TimedToken,
     Transition,
     advance_clock,
-    enabled,
     run,
     steps,
     trace_records,
@@ -60,7 +59,6 @@ __all__ = [
     "builtin_paper_workload",
     "compute_metrics",
     "diff_results",
-    "enabled",
     "gantt_csv",
     "oracle_schedule",
     "parse_workload",

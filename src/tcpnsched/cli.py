@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from .kernel import DEFAULT_STEP_LIMIT, EngineError, trace_records
+from .kernel import EngineError, trace_records
 from .metrics import ScheduleResult, compute_metrics, gantt_csv, result_from_processes
 from .oracle import diff_results, oracle_schedule, random_workload
 from .sched import simulate
@@ -19,8 +18,6 @@ from .workload import (
     builtin_paper_workload,
     parse_workload,
 )
-
-STEP_LIMIT_ENV = "TCPN_STEP_LIMIT"
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -38,24 +35,6 @@ def _load_workload(source: str) -> Workload:
     except OSError as e:
         raise WorkloadError(f"cannot read workload file {source!r}: {e}") from None
     return parse_workload(data, fmt=fmt, name=path.stem)
-
-
-def _resolve_step_limit(flag_value: int | None) -> int | None:
-    """The flag, else the environment; None leaves ``simulate`` its default."""
-    if flag_value is not None:
-        source, limit = "--step-limit", flag_value
-    else:
-        raw = os.environ.get(STEP_LIMIT_ENV)
-        if raw is None:
-            return None
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise WorkloadError(f"{STEP_LIMIT_ENV} must be an integer, got {raw!r}") from None
-        source = STEP_LIMIT_ENV
-    if limit < 0:
-        raise WorkloadError(f"{source} must be >= 0, got {limit}")
-    return limit
 
 
 def result_json_doc(result: ScheduleResult) -> dict:
@@ -116,10 +95,9 @@ def _result_table(result: ScheduleResult) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     policy = Policy.from_name(args.policy)
     w = _load_workload(args.workload)
-    step_limit = _resolve_step_limit(args.step_limit)
 
     if args.engine == "cpn":
-        state = simulate(w, policy, step_limit=step_limit)
+        state = simulate(w, policy)
         result = compute_metrics(state, w, policy)
         trace = trace_records(state.trace) if args.trace else []
     else:
@@ -142,18 +120,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _disagreement(w: Workload, policy: Policy, step_limit: int | None) -> list[str]:
+def _disagreement(w: Workload, policy: Policy) -> list[str]:
     """Run the engine and the oracle on ``w``; the divergences, empty if they agree."""
-    result = compute_metrics(simulate(w, policy, step_limit=step_limit), w, policy)
+    result = compute_metrics(simulate(w, policy), w, policy)
     return diff_results(result, oracle_schedule(w, policy), oracle_policy=policy)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     policy = Policy.from_name(args.policy)
     w = _load_workload(args.workload)
-    step_limit = _resolve_step_limit(args.step_limit)
 
-    report = _disagreement(w, policy, step_limit)
+    report = _disagreement(w, policy)
     if report:
         for line in report:
             print(line)
@@ -165,7 +142,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     import random
 
-    step_limit = _resolve_step_limit(args.step_limit)
     if args.count < 0:
         raise WorkloadError(f"--count must be >= 0, got {args.count}")
     total = 0
@@ -179,7 +155,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         case_failed = False
         for policy in Policy:
             total += 1
-            report = _disagreement(w, policy, step_limit)
+            report = _disagreement(w, policy)
             if report:
                 case_failed = True
                 print(f"seed {case_seed} policy {policy.value}: {report[0]}")
@@ -219,13 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload file (.json or .csv) or the literal 'paper-table1'",
     )
     common.add_argument("--policy", default="fcfs", help="fcfs, sjf, pr or hrrn")
-    common.add_argument(
-        "--step-limit",
-        type=int,
-        default=None,
-        help=f"kernel firing budget (default the larger of {DEFAULT_STEP_LIMIT} and 4 per process, "
-        f"env {STEP_LIMIT_ENV})",
-    )
 
     p_run = sub.add_parser("run", parents=[common], help="run one schedule and print the result")
     p_run.add_argument("--engine", choices=("cpn", "oracle"), default="cpn")
@@ -238,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_fuzz = sub.add_parser(
-        "fuzz", parents=[common], help="differential-test random workloads across all policies"
-    )
+    p_fuzz = sub.add_parser("fuzz", help="differential-test random workloads across all policies")
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--count", type=int, default=100)
     p_fuzz.set_defaults(func=cmd_fuzz)

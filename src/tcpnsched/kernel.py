@@ -3,9 +3,10 @@
 Every place holds exactly one timed token: an opaque colored value plus an
 integer ready-time. A transition is enabled when all of its consumed and
 read input tokens are ready at the current clock and its guard evaluates
-true on the input values. Firing runs the action, which rewrites exactly
-the consumed places (read inputs stay untouched), and appends one event to
-the trace. When nothing is enabled, the clock jumps to the smallest token
+true on the input values. Firing runs the action on the same mapping of
+input values its guard saw; the action rewrites exactly the consumed places
+(read inputs stay untouched), and the firing appends one event to the
+trace. When nothing is enabled, the clock jumps to the smallest token
 ready-time strictly ahead of it; if no token lies ahead, the run halts.
 
 Guards must be pure predicates over (input values, clock); all state change
@@ -102,35 +103,28 @@ class EngineState:
     trace: list[FiringEvent] = field(default_factory=list)
 
 
-def _input_values(state: EngineState, transition: Transition) -> dict[str, Any]:
-    return {name: state.marking[name].value for name in transition.inputs}
-
-
-def _is_enabled(state: EngineState, transition: Transition) -> bool:
+def _enabled_inputs(state: EngineState, transition: Transition) -> dict[str, Any] | None:
+    """The input values of ``transition`` if it is enabled at the clock, else None."""
     marking = state.marking
     clock = state.clock
+    values = {}
     for name in transition.inputs:
-        token = marking.get(name)
-        if token is None:
-            raise EngineError(f"marking does not cover place {name!r}")
+        token = marking[name]
         if token.ready_time > clock:
-            return False
+            return None
+        values[name] = token.value
     try:
-        return bool(transition.guard(_input_values(state, transition), clock))
+        ok = transition.guard(values, clock)
     except EngineError:
         raise
     except Exception as e:
         raise EngineError(f"guard of transition {transition.name!r} failed at t={clock}: {e}") from e
+    return values if ok else None
 
 
-def enabled(net: Net, state: EngineState) -> list[Transition]:
-    """All transitions fireable at the current clock, in rank order."""
-    return [t for t in net.transitions if _is_enabled(state, t)]
-
-
-def _apply(state: EngineState, transition: Transition) -> None:
+def _apply(state: EngineState, transition: Transition, values: dict[str, Any]) -> None:
     try:
-        outputs, detail = transition.action(_input_values(state, transition), state.clock)
+        outputs, detail = transition.action(values, state.clock)
     except EngineError:
         raise
     except Exception as e:
@@ -186,12 +180,13 @@ def steps(
     firings = 0
     while True:
         for t in net.transitions:
-            if _is_enabled(state, t):
+            values = _enabled_inputs(state, t)
+            if values is not None:
                 if firings >= step_limit:
                     raise StepLimitExceeded(
                         f"net {net.name!r} did not halt within {step_limit} firings"
                     )
-                _apply(state, t)
+                _apply(state, t, values)
                 firings += 1
                 yield t
                 break

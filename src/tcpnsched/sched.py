@@ -54,14 +54,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from operator import attrgetter
 
-from .kernel import (
-    DEFAULT_STEP_LIMIT,
-    EngineState,
-    Net,
-    TimedToken,
-    Transition,
-    run,
-)
+from .kernel import EngineState, Net, TimedToken, Transition, run
 from .workload import Policy, PriorityPair, Process, Workload, WorkloadError, validate_workload
 
 NEW_TASKS = "NewTasks"
@@ -359,14 +352,13 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     return SchedulerNet(policy=policy, workload=w, net=net)
 
 
-def simulate(w: Workload, policy: Policy, step_limit: int | None = None) -> EngineState:
+def simulate(w: Workload, policy: Policy) -> EngineState:
     """Build the net for ``(w, policy)`` and run it to completion.
 
-    Without a ``step_limit`` the firing budget is the larger of
-    ``DEFAULT_STEP_LIMIT`` and 4n, the most firings a run of n processes
-    takes (one Idle, Activate, Dispatch and Execute each).
+    The firing budget is 4n, the most firings a run of n processes takes:
+    at most one Idle, Activate, Dispatch and Execute per process. A run
+    that needs more raises StepLimitExceeded, which points at a fault in
+    the net.
     """
-    if step_limit is None:
-        step_limit = max(DEFAULT_STEP_LIMIT, 4 * len(w))
     sn = build_net(w, policy)
-    return run(sn.net, sn.initial_state(), step_limit=step_limit)
+    return run(sn.net, sn.initial_state(), step_limit=4 * len(w))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -129,6 +130,9 @@ def validate_workload(w: Workload) -> list[str]:
 
 _JSON_FIELDS = ("pi", "it", "st", "priority")
 _REQUIRED_FIELDS = ("pi", "it", "st")
+#: A CSV integer cell, as JSON would accept it: ASCII digits only, so no
+#: ``1_0`` and no digits of other scripts, which ``int()`` would take.
+_CSV_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _as_int(value: Any, field: str, where: str) -> int:
@@ -227,17 +231,16 @@ def _parse_csv(text: str) -> list[Process]:
             cell = cell.strip()
             if name == "priority" and cell == "":
                 continue
+            if not _CSV_INT.fullmatch(cell):
+                raise WorkloadError(f"{where}: field {name!r} must be an integer, got {cell!r}")
             try:
                 fields[name] = int(cell)
             except ValueError:
-                digits = cell[1:] if cell[:1] in "+-" else cell
-                if digits.isdecimal():
-                    # Well-formed, so int() refused it for Python's digit cap.
-                    raise WorkloadError(
-                        f"{where}: field {name!r} has {len(digits)} digits, "
-                        f"more than the limit of {sys.get_int_max_str_digits()}"
-                    ) from None
-                raise WorkloadError(f"{where}: field {name!r} must be an integer, got {cell!r}") from None
+                # Well-formed, so int() refused it for Python's digit cap.
+                raise WorkloadError(
+                    f"{where}: field {name!r} has {len(cell.lstrip('+-'))} digits, "
+                    f"more than the limit of {sys.get_int_max_str_digits()}"
+                ) from None
         procs.append(_process_from_fields(fields))
     return procs
 

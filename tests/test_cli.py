@@ -1,11 +1,25 @@
 import codecs
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from tcpnsched import Policy, Process, Workload, sched, serialize_workload, simulate
+from tcpnsched import (
+    Policy,
+    Process,
+    StepLimitExceeded,
+    Workload,
+    build_net,
+    run,
+    sched,
+    serialize_workload,
+    simulate,
+)
 from tcpnsched import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 HRRN_EXPECTED = {
     "policy": "hrrn",
@@ -87,9 +101,8 @@ class TestRun:
                 assert code == 0, err
                 assert json.loads(out)["makespan"] == 19
 
-    def test_long_idle_gap_finishes_within_the_default_step_limit(self, capsys, tmp_path, monkeypatch):
+    def test_long_idle_gap_finishes_within_the_default_step_limit(self, capsys, tmp_path):
         # Idle jumps to the next arrival, so a 5,000,000-tick gap costs one firing.
-        monkeypatch.delenv(cli.STEP_LIMIT_ENV, raising=False)
         path = tmp_path / "gap.json"
         path.write_text('[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 5000000, "st": 1}]')
         code, cpn, err = invoke(capsys, "run", "--workload", str(path))
@@ -100,24 +113,29 @@ class TestRun:
 
     def test_default_step_budget_covers_the_4n_bound(self, capsys, tmp_path, monkeypatch):
         # A chain with it=2i+1 and st=1 takes exactly 4n firings: Idle,
-        # Activate, Dispatch and Execute per process. Lowering the 1,000,000
-        # floor to 1,000 lets 2,500 processes stand in for 250,001. The CLI's
-        # own copy of the name is lowered too, so the CLI cannot pass by
-        # supplying a fixed default of its own.
-        monkeypatch.delenv(cli.STEP_LIMIT_ENV, raising=False)
-        monkeypatch.setattr(sched, "DEFAULT_STEP_LIMIT", 1_000)
-        monkeypatch.setattr(cli, "DEFAULT_STEP_LIMIT", 1_000)
+        # Activate, Dispatch and Execute per process. simulate's budget is
+        # that bound, no more, and the CLI runs with it.
+        budgets = []
+        real_run = sched.run
+
+        def recording_run(net, initial, step_limit):
+            budgets.append(step_limit)
+            return real_run(net, initial, step_limit)
+
+        monkeypatch.setattr(sched, "run", recording_run)
         n = 2_500
         w = Workload(tuple(Process(pi=i + 1, it=2 * i + 1, st=1) for i in range(n)))
         assert len(simulate(w, Policy.FCFS).trace) == 4 * n
+        assert budgets == [4 * n]
         path = tmp_path / "chain.json"
         path.write_text(serialize_workload(w, "json"))
         code, _, err = invoke(capsys, "run", "--workload", str(path))
         assert code == 0, err
-        # An explicit budget still wins, even below the bound.
-        code, _, err = invoke(capsys, "run", "--workload", str(path), "--step-limit", str(4 * n - 1))
-        assert code == 2
-        assert f"did not halt within {4 * n - 1} firings" in err
+        assert budgets == [4 * n, 4 * n]
+        # The chain uses the whole budget: one firing fewer is not enough.
+        sn = build_net(w, Policy.FCFS)
+        with pytest.raises(StepLimitExceeded, match=f"did not halt within {4 * n - 1} firings"):
+            run(sn.net, sn.initial_state(), step_limit=4 * n - 1)
 
 
 class TestErrorPaths:
@@ -148,26 +166,32 @@ class TestErrorPaths:
             ("dup.csv", "pi,it,st,st\n1,0,5,7\n", "line 1: duplicate column 'st'"),
             # Beyond the csv module's cell size limit of 131,072 characters.
             ("wide.csv", f"pi,it,st\n1,0,{'9' * 200_000}\n", "line 2: field larger than field limit"),
+            # int() reads both of these; JSON takes neither.
+            ("underscore.csv", "pi,it,st\n1,0,1_0\n", "must be an integer, got '1_0'"),
+            ("arabic.csv", "pi,it,st\n1,0,\u0663\n", "must be an integer, got '\u0663'"),
         )
         for name, text, message in cases:
             path = tmp_path / name
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             for argv in (("run", "--engine", "cpn"), ("run", "--engine", "oracle"), ("compare",)):
                 code, _, err = invoke(capsys, *argv, "--workload", str(path))
                 assert code == 1, (name, argv)
                 assert err.startswith("error:") and message in err, (name, argv, err)
                 assert huge not in err, "the offending cell must not be echoed"
 
-    def test_step_limit_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.STEP_LIMIT_ENV, "3")
-        code, _, err = invoke(capsys, "run", "--policy", "fcfs")
-        assert code == 2
-        assert "did not halt within 3 firings" in err
+    def test_step_limit_env_is_ignored(self, capsys, monkeypatch):
+        # The budget is fixed at 4n; no environment variable reaches it.
+        _, expected, _ = invoke(capsys, "run", "--policy", "fcfs")
+        for raw in ("3", "soon", "-1"):
+            monkeypatch.setenv("TCPN_STEP_LIMIT", raw)
+            code, out, _ = invoke(capsys, "run", "--policy", "fcfs")
+            assert code == 0 and out == expected, raw
 
-    def test_step_limit_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.STEP_LIMIT_ENV, "3")
-        code, _, _ = invoke(capsys, "run", "--policy", "fcfs", "--step-limit", "100000")
-        assert code == 0
+    def test_step_limit_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--step-limit", "3"])
+        assert exit_info.value.code == 1
+        assert "--step-limit" in capsys.readouterr().err
 
     def test_usage_error_exits_1_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -181,15 +205,30 @@ class TestErrorPaths:
         assert exit_info.value.code == 0
         assert "--format" in capsys.readouterr().out
 
-    def test_bad_step_limit_env_exits_1(self, capsys, monkeypatch):
-        for raw in ("soon", "-1"):
-            monkeypatch.setenv(cli.STEP_LIMIT_ENV, raw)
-            code, _, err = invoke(capsys, "run", "--policy", "fcfs")
-            assert code == 1
-            assert cli.STEP_LIMIT_ENV in err
-        code, _, err = invoke(capsys, "run", "--policy", "fcfs", "--step-limit", "-1")
-        assert code == 1
-        assert "--step-limit" in err
+    def test_engine_error_exits_2(self, capsys, monkeypatch):
+        def runaway(w, policy):
+            raise StepLimitExceeded(f"net 'scheduler-{policy.value}' did not halt within 0 firings")
+
+        monkeypatch.setattr(cli, "simulate", runaway)
+        for argv in (("run",), ("compare",)):
+            code, out, err = invoke(capsys, *argv, "--policy", "sjf")
+            assert code == 2, argv
+            assert err.startswith("internal error:") and "did not halt" in err, (argv, err)
+            assert out == ""
+
+    def test_readme_names_every_cli_option(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # so no help line wraps inside a flag
+        section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+        readme_flags = set(re.findall(r"--[a-z][a-z-]*", section))
+        help_flags = {}
+        for command in ("run", "compare", "fuzz"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            help_flags[command] = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        offered = set().union(*help_flags.values())
+        assert readme_flags - offered == set(), "README names options no subcommand offers"
+        for command, flags in help_flags.items():
+            assert flags - readme_flags == set(), f"README does not name {command} options"
 
 
 class TestCompare:
@@ -244,6 +283,15 @@ class TestFuzz:
         code, out, _ = invoke(capsys, "fuzz", "--seed", "7", "--count", "5")
         assert code == 2
         assert "failing seeds: 9" in out
+
+    def test_workload_and_policy_are_usage_errors(self, capsys):
+        # fuzz draws its own workloads and runs every policy.
+        for flag, value in (("--workload", "/no/such.json"), ("--policy", "bogus")):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["fuzz", "--seed", "1", "--count", "2", flag, value])
+            assert exit_info.value.code == 1
+            captured = capsys.readouterr()
+            assert flag in captured.err and captured.out == ""
 
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

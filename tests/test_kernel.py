@@ -13,7 +13,6 @@ from tcpnsched import (
     Transition,
     advance_clock,
     build_net,
-    enabled,
     run,
     steps,
     trace_records,
@@ -42,27 +41,37 @@ class TestEnabling:
     def test_token_availability_gates_enabling(self):
         net = counter_net()
         state = counter_state(value=0, ready=5)
-        assert enabled(net, state) == []
-        state.clock = 5
-        assert [t.name for t in enabled(net, state)] == ["inc"]
+        stepper = steps(net, state)
+        # Not ready at 0: the first step advances the clock instead of firing.
+        assert next(stepper) is None
+        assert state.clock == 5 and state.trace == []
+        assert next(stepper).name == "inc"
+        assert state.trace[0].time == 5
 
     def test_guard_gates_enabling(self):
         net = counter_net(limit=3)
         state = counter_state(value=3)
-        assert enabled(net, state) == []
+        assert list(steps(net, state)) == []
+        assert state.trace == []
 
     def test_rank_orders_result(self):
-        noop = lambda v, clock: ({"cell": TimedToken(v["cell"], clock)}, {})
-        always = lambda v, clock: True
+        # Both are enabled at cell 0 and only b at cell 1, so a must fire
+        # first; b is declared first.
+        inc = lambda v, clock: ({"cell": TimedToken(v["cell"] + 1, clock)}, {})
+
+        def below(n):
+            return lambda v, clock: v["cell"] < n
+
         net = Net(
             name="ranked",
             places=("cell",),
             transitions=(
-                Transition(name="b", rank=2, consumed=("cell",), guard=always, action=noop),
-                Transition(name="a", rank=1, consumed=("cell",), guard=always, action=noop),
+                Transition(name="b", rank=2, consumed=("cell",), guard=below(2), action=inc),
+                Transition(name="a", rank=1, consumed=("cell",), guard=below(1), action=inc),
             ),
         )
-        assert [t.name for t in enabled(net, counter_state())] == ["a", "b"]
+        assert [t.name for t in net.transitions] == ["a", "b"]
+        assert [t.name for t in steps(net, counter_state())] == ["a", "b"]
 
     def test_guard_crash_is_a_model_error(self):
         def bad_guard(v, clock):
@@ -71,13 +80,28 @@ class TestEnabling:
         t = Transition(name="bad", rank=0, consumed=("cell",), guard=bad_guard, action=None)
         net = Net(name="broken", places=("cell",), transitions=(t,))
         with pytest.raises(EngineError, match="guard of transition 'bad'"):
-            enabled(net, counter_state())
+            run(net, counter_state())
 
     def test_missing_place_is_a_model_error(self):
         net = counter_net()
         state = EngineState(marking={})
-        with pytest.raises(EngineError, match="does not cover place"):
-            enabled(net, state)
+        with pytest.raises(EngineError, match="does not cover place 'cell'"):
+            next(steps(net, state))
+
+    def test_action_receives_the_values_its_guard_saw(self):
+        seen = []
+
+        def guard(v, clock):
+            seen.append(v)
+            return v["cell"] < 1
+
+        def action(v, clock):
+            assert v is seen[-1]
+            return {"cell": TimedToken(v["cell"] + 1, clock)}, {}
+
+        t = Transition(name="inc", rank=0, consumed=("cell",), guard=guard, action=action)
+        final = run(Net(name="once", places=("cell",), transitions=(t,)), counter_state())
+        assert final.marking["cell"].value == 1 and len(final.trace) == 1
 
 
 class TestFiring:
@@ -159,6 +183,12 @@ class TestRun:
             run(counter_net(), EngineState(marking={}))
 
 
+def guards_holding(net, state):
+    """Names of the transitions whose guard holds at the clock, in rank order."""
+    values = {name: tok.value for name, tok in state.marking.items()}
+    return [t.name for t in net.transitions if t.guard(values, state.clock)]
+
+
 class TestSchedulerNetExamples:
     """Kernel-level behavior pinned on the scheduler net."""
 
@@ -166,7 +196,10 @@ class TestSchedulerNetExamples:
         sn = build_net(table1, Policy.FCFS)
         state = sn.initial_state()
         state.clock = 1
-        assert [t.name for t in enabled(sn.net, state)] == ["Activate"]
+        assert all(tok.ready_time <= 1 for tok in state.marking.values())
+        assert guards_holding(sn.net, state) == ["Activate"]
+        assert next(steps(sn.net, state)).name == "Activate"
+        assert state.clock == 1
 
     def test_nothing_enabled_while_all_tokens_lie_ahead(self, table1):
         sn = build_net(table1, Policy.FCFS)
@@ -174,7 +207,10 @@ class TestSchedulerNetExamples:
         state.marking = {
             name: TimedToken(tok.value, 10) for name, tok in state.marking.items()
         }
-        assert enabled(sn.net, state) == []
+        # Idle's guard holds at 0, before the first arrival, but its token is not ready.
+        assert guards_holding(sn.net, state) == ["Idle"]
+        assert next(steps(sn.net, state)) is None
+        assert state.clock == 10 and state.trace == []
 
     def test_dispatch_enabled_when_ready_nonempty_and_nothing_arrived(self, table1):
         sn = build_net(table1, Policy.FCFS)
@@ -188,7 +224,8 @@ class TestSchedulerNetExamples:
             },
             clock=2,
         )
-        assert [t.name for t in enabled(sn.net, state)] == ["Dispatch"]
+        assert guards_holding(sn.net, state) == ["Dispatch"]
+        assert next(steps(sn.net, state)).name == "Dispatch"
 
     def test_fire_activate_at_first_arrival(self, table1):
         sn = build_net(table1, Policy.FCFS)
@@ -227,7 +264,6 @@ class TestSchedulerNetExamples:
             if t is not None and t.name == "Execute":
                 break
         assert state.clock == 1
-        assert enabled(sn.net, state) == []
         assert next(stepper) is None
         assert state.clock == 4
 
@@ -242,7 +278,6 @@ class TestSchedulerNetExamples:
         # Idle fired at 4 rewriting NewTasks one tick ahead.
         assert state.trace[-1].transition == "Idle"
         assert state.marking[NEW_TASKS].ready_time == 5
-        assert enabled(sn.net, state) == []
         assert next(stepper) is None
         assert state.clock == 5
 

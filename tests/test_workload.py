@@ -185,6 +185,17 @@ class TestParseCsv:
         with pytest.raises(WorkloadError, match="line 3"):
             parse_workload("pi,it,st,priority\n1,0,2,0\n2,x,2,0\n", fmt="csv")
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff11", "0x1", "1.0", "+-1"])
+    def test_only_ascii_digits_make_an_integer(self, cell):
+        # int() takes the first three; JSON takes none of them.
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(f"pi,it,st\n1,0,{cell}\n", fmt="csv")
+        assert str(info.value) == f"line 2: field 'st' must be an integer, got {cell!r}"
+
+    def test_signed_ascii_cells_parse(self):
+        (p,) = parse_workload("pi,it,st,priority\n+1, 0 ,+2,-3\n", fmt="csv").processes
+        assert (p.pi, p.it, p.st, p.pr) == (1, 0, 2, PriorityPair(-3, 0))
+
     def test_cell_beyond_the_digit_cap_named_without_echo(self):
         with pytest.raises(WorkloadError) as info:
             parse_workload("pi,it,st\n1,-%s,1\n" % ("9" * 5_000), fmt="csv")
