@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -218,13 +219,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except WorkloadError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except EngineError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # Point stdout at the null device so the flush at exit cannot fail (Python docs, SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before it was all written", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

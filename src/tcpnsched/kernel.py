@@ -4,10 +4,12 @@ Every place holds exactly one timed token: an opaque colored value plus an
 integer ready-time. A transition is enabled when all of its consumed and
 read input tokens are ready at the current clock and its guard evaluates
 true on the input values. Firing runs the action on the same mapping of
-input values its guard saw; the action rewrites exactly the consumed places
-(read inputs stay untouched), and the firing appends one event to the
-trace. When nothing is enabled, the clock jumps to the smallest token
-ready-time strictly ahead of it; if no token lies ahead, the run halts.
+input values its guard saw; the action rewrites exactly the consumed places,
+and the firing appends one event to the trace. A consumed token leaves the
+marking, so the action owns the values of its consumed places: it may update
+them in place and return them in its outputs. It never changes a read place.
+When nothing is enabled, the clock jumps to the smallest token ready-time
+strictly ahead of it; if no token lies ahead, the run halts.
 
 Guards must be pure predicates over (input values, clock); all state change
 belongs in actions. Same-instant conflicts are resolved by static transition
@@ -58,8 +60,10 @@ class FiringEvent:
 class Transition:
     """A guarded transition over single-token places.
 
-    ``consumed`` places are removed and must all be rewritten by the action;
-    ``reads`` places gate enabling (value and ready-time) but are untouched.
+    ``consumed`` places are removed and must all be rewritten by the action,
+    which owns their values: it may update them in place and return them in
+    its outputs. ``reads`` places gate enabling (value and ready-time); the
+    action never changes them.
     """
 
     name: str
@@ -199,11 +203,12 @@ def steps(
 def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
     """Exhaust ``steps`` on a copy of ``initial`` and return the final state.
 
-    The ``initial`` state is left untouched. Raises StepLimitExceeded as
-    ``steps`` does.
+    Each initial token value is shallow-copied once, so actions that update
+    their values in place leave ``initial`` untouched. Raises
+    StepLimitExceeded as ``steps`` does.
     """
     state = EngineState(
-        marking=dict(initial.marking),
+        marking={p: TimedToken(copy.copy(t.value), t.ready_time) for p, t in initial.marking.items()},
         clock=initial.clock,
         trace=list(initial.trace),
     )

@@ -16,11 +16,12 @@ emptied Running token become ready at start + service time), and Idle moves
 the NewTasks token's ready-time to the next pending arrival while the
 machine has nothing arrived to do, so one firing covers a whole gap.
 
+Each action owns the lists of its consumed places (the kernel's contract)
+and moves records between them in place, so no firing copies a list.
 NewTasks is sorted once, in the initial marking, and Activate only ever
-removes a prefix of it, so the sort is a marking invariant and the arrived
-processes are always a prefix: ``select_arrived`` and ``remove_arrived``
-split NewTasks with one binary search, and ``exists_arrived`` and Idle read
-only its head.
+deletes a prefix of it, so the sort is a marking invariant and the arrived
+processes are always a prefix: ``select_arrived`` finds them with one binary
+search, and ``exists_arrived`` and Idle read only its head.
 
 Dispatch elects the process that the paper's full refresh would elect,
 ``elect(update_all(ready, policy, now), policy)``, without rebuilding the
@@ -79,14 +80,6 @@ def select_arrived(l: list[Process], now: int) -> list[Process]:
     ``l`` must be sorted by arrival time, as NewTasks is.
     """
     return l[: bisect.bisect_right(l, now, key=_arrival)]
-
-
-def remove_arrived(l: list[Process], now: int) -> list[Process]:
-    """The not-yet-arrived processes of ``l``: its suffix with ``it > now``.
-
-    ``l`` must be sorted by arrival time, as NewTasks is.
-    """
-    return l[bisect.bisect_right(l, now, key=_arrival) :]
 
 
 def exists_arrived(l: list[Process], now: int) -> bool:
@@ -203,7 +196,6 @@ def is_idle(ready: list[Process], new: list[Process], run_list: list[Process], n
 class SchedulerNet:
     """A scheduler net bound to one workload and one policy."""
 
-    policy: Policy
     workload: Workload
     net: Net
 
@@ -235,26 +227,22 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     order = _hrrn_order if hrrn else cmp_to_key(lambda a, b: compare_process(a, b, policy))
 
     def activate_action(v, clock):
-        moved = select_arrived(v[NEW_TASKS], clock)
-        ready = list(v[READY_QUEUE])
+        new, ready = v[NEW_TASKS], v[READY_QUEUE]
+        moved = select_arrived(new, clock)
         for p in moved:
             bisect.insort(ready, p if hrrn else update_priority(policy, p), key=order)
-        outputs = {
-            NEW_TASKS: TimedToken(remove_arrived(v[NEW_TASKS], clock), clock),
-            READY_QUEUE: TimedToken(ready, clock),
-        }
+        del new[: len(moved)]
+        outputs = {NEW_TASKS: TimedToken(new, clock), READY_QUEUE: TimedToken(ready, clock)}
         return outputs, {"activated": [p.pi for p in moved]}
 
     def execute_guard(v, clock):
         return len(v[RUNNING]) == 1
 
     def execute_action(v, clock):
-        p = set_execution_start(v[RUNNING][0], clock)
+        p = set_execution_start(v[RUNNING].pop(), clock)
+        v[FINISHED].append(p)
         done = clock + p.st
-        outputs = {
-            FINISHED: TimedToken(v[FINISHED] + [p], done),
-            RUNNING: TimedToken([], done),
-        }
+        outputs = {FINISHED: TimedToken(v[FINISHED], done), RUNNING: TimedToken(v[RUNNING], done)}
         return outputs, {"executed": p.pi, "start": clock, "finish": done}
 
     def dispatch_guard(v, clock):
@@ -299,11 +287,9 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     def dispatch_action(v, clock):
         ready = v[READY_QUEUE]
         mx = hrrn_winner(ready, clock) if hrrn else len(ready) - 1
-        chosen = update_priority(policy, update_proc_wait(ready[mx], clock))
-        outputs = {
-            RUNNING: TimedToken([chosen], clock),
-            READY_QUEUE: TimedToken(ready[:mx] + ready[mx + 1 :], clock),
-        }
+        chosen = update_priority(policy, update_proc_wait(ready.pop(mx), clock))
+        v[RUNNING].append(chosen)
+        outputs = {RUNNING: TimedToken(v[RUNNING], clock), READY_QUEUE: TimedToken(ready, clock)}
         detail = {"dispatched": chosen.pi, "wt": chosen.wt, "pr": [chosen.pr.major, chosen.pr.minor]}
         return outputs, detail
 
@@ -349,7 +335,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         ),
     )
     net = Net(name=f"scheduler-{policy.value}", places=PLACES, transitions=transitions)
-    return SchedulerNet(policy=policy, workload=w, net=net)
+    return SchedulerNet(workload=w, net=net)
 
 
 def simulate(w: Workload, policy: Policy) -> EngineState:

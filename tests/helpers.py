@@ -49,17 +49,21 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
     ``(it, pi)``, no arrived process sits in NewTasks after an Activate or a
     Dispatch, under FCFS, SJF and PR the ReadyQueue is ordered by
     ``compare_process`` with the best process last, and under HRRN it is
-    strictly ascending by ``(st, it, pi)``.
+    strictly ascending by ``(st, it, pi)``. Tokens move and are never
+    copied, so every place still holds the list object it began with.
     """
     sn = build_net(w, policy)
     state = sn.initial_state()
     expected_pis = sorted(p.pi for p in w.processes)
+    lists = {name: state.marking[name].value for name in PLACES}
 
     def assert_marking() -> None:
         assert set(state.marking) == set(PLACES)
         pis = sorted(p.pi for name in PLACES for p in state.marking[name].value)
         assert pis == expected_pis, "pi multiset not conserved"
         assert len(state.marking[RUNNING].value) <= 1, "more than one process running"
+        for name in PLACES:
+            assert state.marking[name].value is lists[name], f"{name} was copied, not moved"
 
     assert_marking()
     last_clock = state.clock

@@ -1,7 +1,10 @@
 import codecs
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from tcpnsched import (
 from tcpnsched import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 HRRN_EXPECTED = {
     "policy": "hrrn",
@@ -215,6 +219,26 @@ class TestErrorPaths:
             assert code == 2, argv
             assert err.startswith("internal error:") and "did not halt" in err, (argv, err)
             assert out == ""
+
+    def test_closed_output_pipe_exits_1_without_traceback(self, tmp_path):
+        # Far more output than a pipe buffers, so the reader closes it early.
+        burst = Workload(tuple(Process(pi=i, it=0, st=1 + i % 20) for i in range(1, 2001)))
+        path = tmp_path / "burst.json"
+        path.write_text(serialize_workload(burst), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "tcpnsched.cli", "run", "--workload", str(path), "--trace"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_readme_names_every_cli_option(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # so no help line wraps inside a flag

@@ -166,10 +166,20 @@ class TestRun:
         assert final.clock == 3
         assert [e.time for e in final.trace] == [0, 1, 2]
 
-    def test_initial_state_untouched(self):
+    def test_initial_state_untouched(self, table1):
         initial = counter_state()
         run(counter_net(), initial)
         assert initial.marking["cell"] == TimedToken(0, 0)
+        assert initial.clock == 0 and initial.trace == []
+        # The scheduler net's actions update their lists in place, so only
+        # run's copy keeps one initial state good for a second run.
+        sn = build_net(table1, Policy.SJF)
+        initial = sn.initial_state()
+        first = run(sn.net, initial).marking[FINISHED].value
+        second = run(sn.net, initial).marking[FINISHED].value
+        assert len(first) == len(table1) and first == second
+        assert initial.marking[NEW_TASKS].value == by_arrival(table1.processes)
+        assert all(initial.marking[name].value == [] for name in (READY_QUEUE, RUNNING, FINISHED))
         assert initial.clock == 0 and initial.trace == []
 
     def test_step_limit_catches_nonterminating_net(self):

@@ -32,7 +32,6 @@ from tcpnsched.sched import (
     elect,
     exists_arrived,
     hrrn_ratio,
-    remove_arrived,
     select_arrived,
     update_all,
 )
@@ -62,20 +61,21 @@ class TestPureOps:
             shuffled = random_procs(rng, rng.randint(0, 12))
             l = by_arrival(shuffled)
             now = rng.randint(0, 60)
-            sel, rem = select_arrived(l, now), remove_arrived(l, now)
-            assert all(p.it <= now for p in sel)
-            assert all(p.it > now for p in rem)
+            sel = select_arrived(l, now)
             # On a list sorted like NewTasks the arrived processes are a prefix.
-            assert sel + rem == l
+            assert sel == l[: len(sel)]
+            assert all(p.it <= now for p in sel)
+            assert all(p.it > now for p in l[len(sel) :])
             # Check exists_arrived against a scan on the NewTasks tokens of a
             # real run, before and after the first Activate.
             w = Workload(tuple(Process(pi=p.pi, it=p.it, st=p.st) for p in shuffled))
             sn = build_net(w, Policy.FCFS)
             state = sn.initial_state()
-            tokens = [state.marking[NEW_TASKS].value]
+            # Snapshot each token: Activate updates NewTasks in place.
+            tokens = [list(state.marking[NEW_TASKS].value)]
             for t in steps(sn.net, state):
                 if t is not None and t.name == "Activate":
-                    tokens.append(state.marking[NEW_TASKS].value)
+                    tokens.append(list(state.marking[NEW_TASKS].value))
                     break
             assert len(tokens) == (2 if l else 1)
             for token in tokens:

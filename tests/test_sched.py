@@ -24,7 +24,6 @@ from tcpnsched.sched import (
     elect,
     exists_arrived,
     is_idle,
-    remove_arrived,
     select_arrived,
     set_execution_start,
     update_all,
@@ -70,13 +69,21 @@ class TestArrivalOps:
         assert [p.pi for p in select_arrived([proc(4, it=5), proc(1, it=6)], 5)] == [4]
         assert [p.pi for p in select_arrived([proc(2, it=5), proc(7, it=5)], 5)] == [2, 7]
 
-    def test_remove_arrived(self, table1):
-        l = by_arrival(table1.processes)
-        assert [p.pi for p in remove_arrived(l, 1)] == [4, 1, 2, 3, 5]
-        assert remove_arrived(l, 0) == l
-        assert remove_arrived([], 99) == []
-        assert [p.pi for p in remove_arrived([proc(4, it=5), proc(1, it=6)], 5)] == [1]
-        assert remove_arrived([proc(2, it=5), proc(7, it=5)], 5) == []
+    def test_activate_leaves_pending_suffix(self, table1):
+        # The first step at ``now`` fires Activate when something has arrived,
+        # and leaves the not-yet-arrived suffix in NewTasks.
+        def first_step(procs, now):
+            sn = build_net(Workload(tuple(procs)), Policy.FCFS)
+            state = sn.initial_state()
+            state.clock = now
+            fired = next(steps(sn.net, state), None)
+            return fired and fired.name, [p.pi for p in state.marking[NEW_TASKS].value]
+
+        assert first_step(table1.processes, 1) == ("Activate", [4, 1, 2, 3, 5])
+        assert first_step(table1.processes, 0) == ("Idle", [6, 4, 1, 2, 3, 5])
+        assert first_step([], 99) == (None, [])
+        assert first_step([proc(4, it=5), proc(1, it=6)], 5) == ("Activate", [1])
+        assert first_step([proc(2, it=5), proc(7, it=5)], 5) == ("Activate", [])
 
     def test_exists_arrived(self, table1):
         l = by_arrival(table1.processes)
@@ -199,7 +206,9 @@ class TestStamps:
         assert set_execution_start(proc(1), 0).es == 0
 
     def test_is_idle(self, table1):
-        remainder = remove_arrived(by_arrival(table1.processes), 1)
+        # Table 1 after P6 arrives at t=1: P4 arrives at 5, the rest later.
+        by_pi = {p.pi: p for p in table1.processes}
+        remainder = [by_pi[pi] for pi in (4, 1, 2, 3, 5)]
         assert is_idle([], remainder, [], 4) is True
         assert is_idle([], remainder, [table1.processes[5]], 4) is False
         assert is_idle([], [], [], 4) is False
