@@ -103,19 +103,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = trace_records(state.trace) if args.trace else []
     else:
         result = result_from_processes(oracle_schedule(w, policy), w, policy)
-        trace = []
 
     if args.format == "json":
         doc = result_json_doc(result)
         if args.trace:
             doc["trace"] = trace
         print(json.dumps(doc, indent=2))
-    elif args.format == "gantt-csv":
-        sys.stdout.write(gantt_csv(result))
-        if args.trace:
-            print(json.dumps(trace))
     else:
-        sys.stdout.write(_result_table(result))
+        sys.stdout.write(gantt_csv(result) if args.format == "gantt-csv" else _result_table(result))
         if args.trace:
             print(json.dumps(trace))
     return EXIT_OK
@@ -218,6 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.trace and args.engine == "oracle":
+        # The oracle fires no transitions, so it has no trace to print.
+        parser.error("argument --trace: not allowed with argument --engine oracle")
     try:
         code = args.func(args)
         sys.stdout.flush()

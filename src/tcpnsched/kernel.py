@@ -3,18 +3,21 @@
 Every place holds exactly one timed token: an opaque colored value plus an
 integer ready-time. A transition is enabled when all of its consumed and
 read input tokens are ready at the current clock and its guard evaluates
-true on the input values. Firing runs the action on the same mapping of
-input values its guard saw; the action rewrites exactly the consumed places,
-and the firing appends one event to the trace. A consumed token leaves the
-marking, so the action owns the values of its consumed places: it may update
-them in place and return them in its outputs. It never changes a read place.
-When nothing is enabled, the clock jumps to the smallest token ready-time
-strictly ahead of it; if no token lies ahead, the run halts.
+true on the input values. Firing the enabled transition of lowest rank takes
+five steps in this order: check the firing budget; run the action on the
+same mapping of input values its guard saw; check that its outputs rewrite
+exactly the consumed places; check that no output token is ready before the
+clock; then write the outputs into the marking and append one event to the
+trace. A consumed token leaves the marking, so the action owns the values of
+its consumed places: it may update them in place and return them in its
+outputs. It never changes a read place. When nothing is enabled, the clock
+jumps to the smallest token ready-time strictly ahead of it; if no token
+lies ahead, the run halts.
 
 Guards must be pure predicates over (input values, clock); all state change
 belongs in actions. Same-instant conflicts are resolved by static transition
-rank (lower fires first). ``steps`` is the one loop that applies this rule;
-``run`` exhausts it.
+rank (lower fires first). ``steps`` is the one loop that applies this rule,
+enabling and firing both; ``run`` exhausts it.
 """
 
 from __future__ import annotations
@@ -73,10 +76,6 @@ class Transition:
     action: Action
     reads: tuple[str, ...] = ()
 
-    @property
-    def inputs(self) -> tuple[str, ...]:
-        return self.consumed + self.reads
-
 
 @dataclass(frozen=True)
 class Net:
@@ -89,7 +88,7 @@ class Net:
     def __post_init__(self) -> None:
         declared = set(self.places)
         for t in self.transitions:
-            undeclared = set(t.inputs) - declared
+            undeclared = set(t.consumed + t.reads) - declared
             if undeclared:
                 raise EngineError(
                     f"transition {t.name!r} uses undeclared place {sorted(undeclared)[0]!r}"
@@ -105,49 +104,6 @@ class EngineState:
     marking: dict[str, TimedToken]
     clock: int = 0
     trace: list[FiringEvent] = field(default_factory=list)
-
-
-def _enabled_inputs(state: EngineState, transition: Transition) -> dict[str, Any] | None:
-    """The input values of ``transition`` if it is enabled at the clock, else None."""
-    marking = state.marking
-    clock = state.clock
-    values = {}
-    for name in transition.inputs:
-        token = marking[name]
-        if token.ready_time > clock:
-            return None
-        values[name] = token.value
-    try:
-        ok = transition.guard(values, clock)
-    except EngineError:
-        raise
-    except Exception as e:
-        raise EngineError(f"guard of transition {transition.name!r} failed at t={clock}: {e}") from e
-    return values if ok else None
-
-
-def _apply(state: EngineState, transition: Transition, values: dict[str, Any]) -> None:
-    try:
-        outputs, detail = transition.action(values, state.clock)
-    except EngineError:
-        raise
-    except Exception as e:
-        raise EngineError(
-            f"action of transition {transition.name!r} failed at t={state.clock}: {e}"
-        ) from e
-    if set(outputs) != set(transition.consumed):
-        raise EngineError(
-            f"transition {transition.name!r} must rewrite exactly its consumed places "
-            f"{sorted(transition.consumed)}, wrote {sorted(outputs)}"
-        )
-    for name, token in outputs.items():
-        if token.ready_time < state.clock:
-            raise EngineError(
-                f"transition {transition.name!r} would move place {name!r} "
-                f"back in time ({token.ready_time} < {state.clock})"
-            )
-        state.marking[name] = token
-    state.trace.append(FiringEvent(transition.name, state.clock, detail))
 
 
 def advance_clock(net: Net, state: EngineState) -> int | None:
@@ -172,7 +128,11 @@ def steps(
     Each step fires the lowest-rank enabled transition at the current clock
     and yields it; when none is enabled, it advances the clock and yields
     None. The generator returns when no token lies ahead of the clock.
-    Deterministic: identical inputs give identical traces.
+    Deterministic: identical inputs give identical traces. Arcs are
+    resolved once per call, so a step builds only the values mapping that
+    its guard and action share. A guard or action that raises an exception
+    other than EngineError is reported as an EngineError naming the
+    transition and the clock; an EngineError passes through unchanged.
 
     Raises StepLimitExceeded when the firing budget runs out, which points
     at a non-terminating net.
@@ -181,23 +141,58 @@ def steps(
     if missing:
         raise EngineError(f"initial marking does not cover place {missing[0]!r}")
 
+    marking = state.marking
+    arcs = [(t, t.consumed + t.reads, set(t.consumed)) for t in net.transitions]
     firings = 0
     while True:
-        for t in net.transitions:
-            values = _enabled_inputs(state, t)
-            if values is not None:
-                if firings >= step_limit:
-                    raise StepLimitExceeded(
-                        f"net {net.name!r} did not halt within {step_limit} firings"
-                    )
-                _apply(state, t, values)
-                firings += 1
-                yield t
-                break
+        clock = state.clock
+        # Enabling: stop at the first transition, in rank order, whose input
+        # tokens are all ready and whose guard holds; if none, advance the clock.
+        for t, inputs, consumed in arcs:
+            values = {}
+            for name in inputs:
+                token = marking[name]
+                if token.ready_time > clock:
+                    break
+                values[name] = token.value
+            else:
+                try:
+                    if t.guard(values, clock):
+                        break
+                except EngineError:
+                    raise
+                except Exception as e:
+                    raise EngineError(f"guard of transition {t.name!r} failed at t={clock}: {e}") from e
         else:
             if advance_clock(net, state) is None:
                 return
             yield None
+            continue
+
+        # Firing, in the module docstring's order.
+        if firings >= step_limit:
+            raise StepLimitExceeded(f"net {net.name!r} did not halt within {step_limit} firings")
+        try:
+            outputs, detail = t.action(values, clock)
+        except EngineError:
+            raise
+        except Exception as e:
+            raise EngineError(f"action of transition {t.name!r} failed at t={clock}: {e}") from e
+        if outputs.keys() != consumed:
+            raise EngineError(
+                f"transition {t.name!r} must rewrite exactly its consumed places "
+                f"{sorted(t.consumed)}, wrote {sorted(outputs)}"
+            )
+        for name, token in outputs.items():
+            if token.ready_time < clock:
+                raise EngineError(
+                    f"transition {t.name!r} would move place {name!r} "
+                    f"back in time ({token.ready_time} < {clock})"
+                )
+            marking[name] = token
+        state.trace.append(FiringEvent(t.name, clock, detail))
+        firings += 1
+        yield t
 
 
 def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
@@ -218,8 +213,9 @@ def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) ->
 
 
 def trace_records(trace: list[FiringEvent]) -> list[dict]:
-    """Trace as JSON-ready records: ``{"t": ..., "transition": ..., "detail": ...}``."""
-    return [
-        {"t": e.time, "transition": e.transition, "detail": copy.deepcopy(e.detail)}
-        for e in trace
-    ]
+    """Trace as JSON-ready records: ``{"t": ..., "transition": ..., "detail": ...}``.
+
+    Each record shares its detail dict with the trace event, not a copy:
+    every action builds a fresh detail, so nothing else holds it.
+    """
+    return [{"t": e.time, "transition": e.transition, "detail": e.detail} for e in trace]

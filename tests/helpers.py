@@ -130,11 +130,8 @@ def assert_schedule_invariants(w: Workload, policy: Policy, state: EngineState) 
         total_service = sum(p.st for p in result.finished)
         assert result.total_idle + total_service == result.makespan - result.lead_in
 
-    # Halting bound: firings stay within 4n plus the idle ticks.
-    idle_ticks = sum(1 for e in state.trace if e.transition == "Idle")
-    assert len(state.trace) <= 4 * n + idle_ticks
-    # Idle covers a whole gap in one firing and each gap ends in an
-    # Activate, so the firings also stay within 4n.
+    # Halting bound: Idle covers a whole gap in one firing and each gap
+    # ends in an Activate, so the firings stay within 4n.
     assert len(state.trace) <= 4 * n
 
     times = [e.time for e in state.trace]

@@ -197,6 +197,16 @@ class TestErrorPaths:
         assert exit_info.value.code == 1
         assert "--step-limit" in capsys.readouterr().err
 
+    def test_oracle_trace_is_a_usage_error(self, capsys):
+        # The oracle fires no transitions, so it has no trace to print.
+        for fmt in ("json", "table", "gantt-csv"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["run", "--engine", "oracle", "--trace", "--format", fmt])
+            assert exit_info.value.code == 1, fmt
+            captured = capsys.readouterr()
+            assert "--trace" in captured.err and "--engine oracle" in captured.err, captured.err
+            assert captured.out == "", fmt
+
     def test_usage_error_exits_1_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["run", "--format", "bogus"])

@@ -74,19 +74,35 @@ class TestEnabling:
         assert [t.name for t in steps(net, counter_state())] == ["a", "b"]
 
     def test_guard_crash_is_a_model_error(self):
-        def bad_guard(v, clock):
-            return v["cell"].missing_attribute
+        # An exception other than EngineError from a guard or an action is
+        # reported as an EngineError naming the transition and the clock; an
+        # EngineError passes through as raised.
+        for role in ("guard", "action"):
+            for raised, message in (
+                (ValueError("boom"), f"{role} of transition 'bad' failed at t=2: boom"),
+                (EngineError("own words"), "own words"),
+            ):
 
-        t = Transition(name="bad", rank=0, consumed=("cell",), guard=bad_guard, action=None)
-        net = Net(name="broken", places=("cell",), transitions=(t,))
-        with pytest.raises(EngineError, match="guard of transition 'bad'"):
-            run(net, counter_state())
+                def crash(v, clock, raised=raised):
+                    raise raised
+
+                guard, action = (crash, None) if role == "guard" else (lambda v, c: True, crash)
+                t = Transition(name="bad", rank=0, consumed=("cell",), guard=guard, action=action)
+                net = Net(name="broken", places=("cell",), transitions=(t,))
+                with pytest.raises(EngineError) as info:
+                    run(net, counter_state(ready=2))
+                assert str(info.value) == message, (role, raised)
+                if isinstance(raised, EngineError):
+                    assert info.value is raised, role
+                else:
+                    assert type(info.value) is EngineError and info.value.__cause__ is raised, role
 
     def test_missing_place_is_a_model_error(self):
         net = counter_net()
         state = EngineState(marking={})
-        with pytest.raises(EngineError, match="does not cover place 'cell'"):
+        with pytest.raises(EngineError) as info:
             next(steps(net, state))
+        assert str(info.value) == "initial marking does not cover place 'cell'"
 
     def test_action_receives_the_values_its_guard_saw(self):
         seen = []
@@ -121,8 +137,11 @@ class TestFiring:
             name="lossy", rank=0, consumed=("cell",), guard=lambda v, c: True, action=wrong_action
         )
         net = Net(name="lossy", places=("cell",), transitions=(t,))
-        with pytest.raises(EngineError, match="exactly its consumed places"):
+        with pytest.raises(EngineError) as info:
             run(net, counter_state())
+        assert str(info.value) == (
+            "transition 'lossy' must rewrite exactly its consumed places ['cell'], wrote []"
+        )
 
     def test_token_ready_time_never_decreases(self):
         def rewind(v, clock):
@@ -134,15 +153,17 @@ class TestFiring:
         net = Net(name="rewind", places=("cell",), transitions=(t,))
         state = counter_state()
         state.clock = 4
-        with pytest.raises(EngineError, match="back in time"):
+        with pytest.raises(EngineError) as info:
             run(net, state)
+        assert str(info.value) == "transition 'rewind' would move place 'cell' back in time (3 < 4)"
 
     def test_net_rejects_undeclared_place(self):
         t = Transition(
             name="ghost", rank=0, consumed=("nowhere",), guard=lambda v, c: True, action=None
         )
-        with pytest.raises(EngineError, match="undeclared place"):
+        with pytest.raises(EngineError) as info:
             Net(name="ghost", places=("cell",), transitions=(t,))
+        assert str(info.value) == "transition 'ghost' uses undeclared place 'nowhere'"
 
 
 class TestClock:
@@ -185,12 +206,14 @@ class TestRun:
     def test_step_limit_catches_nonterminating_net(self):
         # Zero delay keeps the transition enabled at the same instant forever.
         net = counter_net(limit=float("inf"), delay=0)
-        with pytest.raises(StepLimitExceeded, match="did not halt within 10 firings"):
+        with pytest.raises(StepLimitExceeded) as info:
             run(net, counter_state(), step_limit=10)
+        assert str(info.value) == "net 'counter' did not halt within 10 firings"
 
     def test_run_requires_covering_marking(self):
-        with pytest.raises(EngineError, match="initial marking does not cover"):
+        with pytest.raises(EngineError) as info:
             run(counter_net(), EngineState(marking={}))
+        assert str(info.value) == "initial marking does not cover place 'cell'"
 
 
 def guards_holding(net, state):
