@@ -33,14 +33,13 @@ ratio grows with waiting time, so Activate inserts its processes unstamped
 into a ReadyQueue sorted by ``(st, it, pi)``. Among processes with the same
 ``st`` the ratio ``(st + now - it) * 100 // st`` never rises as ``it`` grows,
 and with equal ``(st, it)`` the ratios tie and ``compare_process`` picks the
-lower ``pi``. So the process the full refresh elects is the first record of
-some ``(st, it)`` group whose ratio equals the top ratio, and that top ratio
-is held by the head of some run of equal ``st``. Dispatch ranks each run's
-head as a plain integer, collects the first record of each ``(st, it)``
-group at the top ratio, and runs ``update_all`` and ``elect`` on those
-candidates only. A dispatch computes one ratio per distinct service time,
-plus one per ``(st, it)`` group the tie walk visits, rather than one per
-ready process.
+lower ``pi``. So only the first record of a ``(st, it)`` group can win.
+Dispatch walks ReadyQueue once, group by group, keeping a running top ratio
+and the groups that reach it; a group below the top ends its run, since no
+later group of that ``st`` can reach the top, and the walk jumps to the next
+``st``. ``update_all`` and ``elect`` then decide among the groups at the top.
+A dispatch computes at most one ratio per distinct service time plus one per
+group that ties or beats the running top, rather than one per ready process.
 Only the dispatched process carries a refreshed waiting time and priority;
 the records left in ReadyQueue keep the ones they had.
 
@@ -251,35 +250,26 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         )
 
     def hrrn_winner(ready, clock):
-        # Rank the head of each run of equal st; a run's head holds its top ratio.
+        # One walk over the (st, it) groups, keeping a running top ratio. Only
+        # a group's first record can win, and within a run of equal st the
+        # ratio never rises, so a run is left once it falls below the top.
         q = len(ready)
-        top, heads = -1, []
+        top, tied = -1, []
         i = 0
         while i < q:
             p = ready[i]
-            st = p.st
-            r = hrrn_ratio(st, clock - p.it)
-            if r >= top:
-                if r > top:
-                    top, heads = r, [i]
-                else:
-                    heads.append(i)
+            st, it = p.st, p.it
+            r = hrrn_ratio(st, clock - it)
+            if r > top:
+                top, tied = r, [i]
+            elif r == top:
+                tied.append(i)
             i += 1
             if i < q and ready[i].st == st:
-                i = bisect.bisect_right(ready, st, lo=i, key=_service)
-        # Only the first record of an (st, it) group tied at the top ratio can
-        # win; the paper's refresh and election decide among them.
-        tied = []
-        for i in heads:
-            st = ready[i].st
-            while True:
-                tied.append(i)
-                it = ready[i].it
-                i += 1
-                if i < q and ready[i].st == st and ready[i].it == it:
+                if r < top:
+                    i = bisect.bisect_right(ready, st, lo=i, key=_service)
+                elif ready[i].it == it:
                     i = bisect.bisect_right(ready, (st, it), lo=i, key=_service_arrival)
-                if i == q or ready[i].st != st or hrrn_ratio(st, clock - ready[i].it) != top:
-                    break
         if len(tied) == 1:
             return tied[0]
         return tied[elect(update_all([ready[i] for i in tied], policy, clock), policy)]

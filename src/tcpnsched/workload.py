@@ -138,10 +138,30 @@ _CSV_INT = re.compile(r"[+-]?[0-9]+")
 def _as_int(value: Any, field: str, where: str) -> int:
     # bool is an int subclass; a true/false arrival time is a schema error.
     if isinstance(value, bool) or not isinstance(value, int):
-        if isinstance(value, tuple):
-            value = dict(value)  # a nested JSON object, shown as one
-        raise WorkloadError(f"{where}: field {field!r} must be an integer, got {value!r}")
+        # A container is named by its kind, so the message stays short
+        # however large or deep it is; objects decode to tuples of pairs.
+        if isinstance(value, list):
+            shown = "an array"
+        elif isinstance(value, tuple):
+            shown = "an object"
+        else:
+            shown = json.dumps(value)
+        raise WorkloadError(f"{where}: field {field!r} must be an integer, got {shown}")
     return value
+
+
+def _check_names(names: list[str], where: str, noun: str) -> None:
+    """Reject the first unknown or repeated name, then a missing required one."""
+    seen = set()
+    for name in names:
+        if name not in _JSON_FIELDS:
+            raise WorkloadError(f"{where}: unknown {noun} {name!r}")
+        if name in seen:
+            raise WorkloadError(f"{where}: duplicate {noun} {name!r}")
+        seen.add(name)
+    for name in _REQUIRED_FIELDS:
+        if name not in seen:
+            raise WorkloadError(f"{where}: missing {noun} {name!r}")
 
 
 def _process_from_fields(fields: dict[str, int]) -> Process:
@@ -179,20 +199,8 @@ def _parse_json(text: str) -> list[Process]:
         where = f"entry {i}"
         if not isinstance(entry, tuple):
             raise WorkloadError(f"{where}: expected an object, got {type(entry).__name__}")
-        obj = dict(entry)
-        if len(obj) < len(entry):
-            seen = set()
-            for key, _ in entry:
-                if key in seen:
-                    raise WorkloadError(f"{where}: duplicate field {key!r}")
-                seen.add(key)
-        unknown = set(obj) - set(_JSON_FIELDS)
-        if unknown:
-            raise WorkloadError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-        missing = [f for f in _REQUIRED_FIELDS if f not in obj]
-        if missing:
-            raise WorkloadError(f"{where}: missing field {missing[0]!r}")
-        fields = {k: _as_int(v, k, where) for k, v in obj.items()}
+        _check_names([key for key, _ in entry], where, "field")
+        fields = {k: _as_int(v, k, where) for k, v in entry}
         procs.append(_process_from_fields(fields))
     return procs
 
@@ -208,17 +216,7 @@ def _parse_csv(text: str) -> list[Process]:
     if not rows:
         raise WorkloadError("line 1: missing CSV header 'pi,it,st,priority'")
     header = [h.strip() for h in rows[0]]
-    unknown = [h for h in header if h not in _JSON_FIELDS]
-    if unknown:
-        raise WorkloadError(f"line 1: unknown column {unknown[0]!r}")
-    seen = set()
-    for h in header:
-        if h in seen:
-            raise WorkloadError(f"line 1: duplicate column {h!r}")
-        seen.add(h)
-    missing = [f for f in _REQUIRED_FIELDS if f not in header]
-    if missing:
-        raise WorkloadError(f"line 1: missing column {missing[0]!r}")
+    _check_names(header, "line 1", "column")
     procs = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):

@@ -180,6 +180,24 @@ class TestClock:
         assert state.clock == 0
 
 
+    def test_steps_advances_through_the_module_hook(self, monkeypatch, table1):
+        # perfbench/layers.py counts clock advances by rebinding
+        # kernel.advance_clock, so steps must look it up on every advance.
+        from tcpnsched import kernel
+
+        real, moved = kernel.advance_clock, []
+
+        def counting(net, state):
+            moved.append(real(net, state))
+            return moved[-1]
+
+        monkeypatch.setattr(kernel, "advance_clock", counting)
+        sn = build_net(table1, Policy.FCFS)
+        nones = sum(t is None for t in steps(sn.net, sn.initial_state()))
+        assert nones > 0
+        # One advance per None yielded, then the one that finds nothing ahead.
+        assert [m is None for m in moved] == [False] * nones + [True]
+
 class TestRun:
     def test_counter_runs_to_quiescence(self):
         final = run(counter_net(limit=3), counter_state())

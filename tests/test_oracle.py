@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from tcpnsched import (
     random_workload,
     simulate,
 )
+from tcpnsched import oracle as oracle_module
 
 
 class TestGoldenSchedules:
@@ -131,6 +134,64 @@ def _hrrn_floor_ties(seed: int) -> Workload:
     ]
     rng.shuffle(procs)
     return Workload(tuple(procs), name=f"hrrn-ties-{seed}")
+
+
+class TestIndependence:
+    """The oracle is evidence only while it shares no selection code with the engine."""
+
+    ENGINE_NAMES = {
+        "bisect",
+        "cmp_to_key",
+        "compare_process",
+        "elect",
+        "update_all",
+        "update_priority",
+        "hrrn_ratio",
+    }
+
+    @staticmethod
+    def package_modules(node: ast.AST) -> list[str]:
+        """The tcpnsched modules that an import statement loads."""
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names if a.name.split(".")[0] == "tcpnsched"]
+        if not isinstance(node, ast.ImportFrom):
+            return []
+        if node.level == 0:
+            return [node.module] if node.module.split(".")[0] == "tcpnsched" else []
+        if node.module:
+            return [f"tcpnsched.{node.module}"]
+        return [f"tcpnsched.{a.name}" for a in node.names]
+
+    def test_imports_only_the_data_model_at_run_time(self):
+        tree = ast.parse(inspect.getsource(oracle_module))
+        type_only = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+            for stmt in node.body
+            for inner in ast.walk(stmt)
+        }
+        loaded = {
+            module
+            for node in ast.walk(tree)
+            if id(node) not in type_only
+            for module in self.package_modules(node)
+        }
+        assert loaded == {"tcpnsched.workload"}
+
+    def test_names_no_engine_selection_code(self):
+        named = set()
+        for node in ast.walk(ast.parse(inspect.getsource(oracle_module))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                named.update(node.module.split("."))
+            elif isinstance(node, ast.alias):
+                named.update(node.name.split("."))
+                named.add(node.asname)
+        assert not named & self.ENGINE_NAMES
 
 
 class TestAgainstReferenceRule:

@@ -242,7 +242,7 @@ class TestFullRuns:
         with pytest.raises(WorkloadError, match="service time"):
             build_net(bad, Policy.FCFS)
 
-    def test_plain_list_markings_work_without_cache(self, table1):
+    def test_hand_built_plain_list_marking_runs(self, table1):
         # A hand-built marking needs only a plain list, sorted like NewTasks.
         from tcpnsched import run
 

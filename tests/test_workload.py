@@ -131,12 +131,31 @@ class TestParseJson:
             parse_workload('[{"pi": 1, "it": 0}]', fmt="json")
 
     def test_non_integer_rejected(self):
-        with pytest.raises(WorkloadError, match="must be an integer"):
+        with pytest.raises(WorkloadError) as info:
             parse_workload('[{"pi": 1, "it": "soon", "st": 1}]', fmt="json")
+        assert str(info.value) == "entry 0: field 'it' must be an integer, got \"soon\""
 
     def test_bool_is_not_an_integer(self):
-        with pytest.raises(WorkloadError, match="must be an integer"):
+        with pytest.raises(WorkloadError) as info:
             parse_workload('[{"pi": 1, "it": true, "st": 1}]', fmt="json")
+        assert str(info.value) == "entry 0: field 'it' must be an integer, got true"
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ('[{"a": 1}]', "an array"),
+            ('{"a": 1}', "an object"),
+            ("null", "null"),
+            ("1.5", "1.5"),
+            ("[" + "0, " * 99_999 + "0]", "an array"),
+            ("[" * 900 + "]" * 900, "an array"),
+        ],
+        ids=["array", "object", "null", "float", "100k-array", "900-deep"],
+    )
+    def test_non_integer_shown_as_json_or_by_its_kind(self, value, shown):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(f'[{{"pi": {value}, "it": 0, "st": 1}}]', fmt="json")
+        assert str(info.value) == f"entry 0: field 'pi' must be an integer, got {shown}"
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(WorkloadError, match=r"line 1 column"):
@@ -212,6 +231,36 @@ class TestParseCsv:
     def test_unknown_format(self):
         with pytest.raises(WorkloadError, match="unknown workload format"):
             parse_workload("[]", fmt="yaml")
+
+
+class TestFieldNames:
+    """JSON fields and CSV columns: the first bad name in input order is reported."""
+
+    @pytest.mark.parametrize(
+        "fmt, src, message",
+        [
+            ("json", '[{"pi": 1, "zz": 0, "aa": 0}]', "entry 0: unknown field 'zz'"),
+            ("json", '[{"pi": 1, "pi": 2, "wt": 0}]', "entry 0: duplicate field 'pi'"),
+            ("json", '[{"wt": 0, "pi": 1, "pi": 2}]', "entry 0: unknown field 'wt'"),
+            ("json", '[{"pi": 1, "wt": 0}]', "entry 0: unknown field 'wt'"),
+            ("csv", "pi,st,st,wt\n", "line 1: duplicate column 'st'"),
+            ("csv", "wt,pi,pi\n", "line 1: unknown column 'wt'"),
+            ("csv", "pi,wt\n", "line 1: unknown column 'wt'"),
+        ],
+        ids=[
+            "json-unknown-unsorted",
+            "json-duplicate-then-unknown",
+            "json-unknown-then-duplicate",
+            "json-unknown-before-missing",
+            "csv-duplicate-then-unknown",
+            "csv-unknown-then-duplicate",
+            "csv-unknown-before-missing",
+        ],
+    )
+    def test_first_bad_name_in_input_order(self, fmt, src, message):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(src, fmt=fmt)
+        assert str(info.value) == message
 
 
 class TestRoundTrip:
