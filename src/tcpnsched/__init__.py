@@ -32,7 +32,6 @@ from .workload import (
     builtin_paper_workload,
     parse_workload,
     serialize_workload,
-    validate_workload,
 )
 
 __version__ = "0.1.0"
@@ -69,6 +68,5 @@ __all__ = [
     "simulate",
     "steps",
     "trace_records",
-    "validate_workload",
     "__version__",
 ]

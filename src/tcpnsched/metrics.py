@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,10 +48,12 @@ def result_from_processes(
     turnaround = wt + st. Idle intervals are the maximal gaps between
     consecutive execution intervals within [lead_in, makespan].
     """
-    if sorted(p.pi for p in finished) != sorted(p.pi for p in w.processes):
+    got, expected = Counter(p.pi for p in finished), Counter(p.pi for p in w.processes)
+    if got != expected:
         raise EngineError(
-            f"finished set does not match the workload: "
-            f"got {sorted(p.pi for p in finished)}, expected {sorted(p.pi for p in w.processes)}"
+            f"finished set does not match the workload: {len(finished)} records for "
+            f"{len(w.processes)} processes, first missing pi {min(expected - got, default='none')}, "
+            f"first extra pi {min(got - expected, default='none')}"
         )
     if not finished:
         return ScheduleResult(

@@ -19,7 +19,7 @@ import heapq
 import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .workload import Policy, PriorityPair, Process, Workload, WorkloadError, validate_workload
+from .workload import Policy, PriorityPair, Process, Workload
 
 if TYPE_CHECKING:
     from .metrics import ScheduleResult
@@ -49,12 +49,9 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
     arrival; otherwise dispatch the best-ranked arrived process and run it
     to completion. Returns the finished records in completion order, each
     stamped at its dispatch instant t with es = t, wt = t - it and the
-    priority pair it was ranked by.
+    priority pair it was ranked by. ``w`` was checked when it was built, so
+    this raises no WorkloadError.
     """
-    violations = validate_workload(w)
-    if violations:
-        raise WorkloadError("; ".join(violations))
-
     # FCFS, SJF and PR ranks ignore the clock, so one key serves the run.
     static = policy is not Policy.HRRN
     key = _rank_key(policy, 0)

@@ -55,7 +55,7 @@ from functools import cmp_to_key
 from operator import attrgetter
 
 from .kernel import EngineState, Net, TimedToken, Transition, run
-from .workload import Policy, PriorityPair, Process, Workload, WorkloadError, validate_workload
+from .workload import Policy, PriorityPair, Process, Workload
 
 NEW_TASKS = "NewTasks"
 READY_QUEUE = "ReadyQueue"
@@ -211,10 +211,7 @@ class SchedulerNet:
 
 
 def build_net(w: Workload, policy: Policy) -> SchedulerNet:
-    """Assemble the scheduler net for a validated workload."""
-    violations = validate_workload(w)
-    if violations:
-        raise WorkloadError("; ".join(violations))
+    """Assemble the scheduler net that runs ``w`` under ``policy``."""
 
     def activate_guard(v, clock):
         return exists_arrived(v[NEW_TASKS], clock)

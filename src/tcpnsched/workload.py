@@ -73,10 +73,39 @@ class Process:
 
 @dataclass(frozen=True)
 class Workload:
-    """An ordered collection of processes; list order is preserved end-to-end."""
+    """An ordered collection of processes; list order is preserved end-to-end.
+
+    Building one raises WorkloadError listing every invariant violation.
+    """
 
     processes: tuple[Process, ...]
     name: str = ""
+
+    def __post_init__(self) -> None:
+        procs = self.processes
+        violations: list[str] = []
+        seen: set[int] = set()
+        for p in procs:
+            where = f"process {p.pi}"
+            if p.pi < 1:
+                violations.append(f"{where}: index must be >= 1")
+            if p.pi in seen:
+                violations.append(f"duplicate index {p.pi}")
+            seen.add(p.pi)
+            if p.it < 0:
+                violations.append(f"{where}: negative arrival time {p.it}")
+            if p.st < 1:
+                violations.append(f"{where}: service time must be >= 1")
+            if p.wt != 0:
+                violations.append(f"{where}: fresh workload must have wt = 0")
+            if p.es != 0:
+                violations.append(f"{where}: fresh workload must have es = 0")
+            if p.pr.minor != 0:
+                violations.append(f"{where}: fresh workload must have minor priority 0")
+        if procs and max(p.it for p in procs) + sum(p.st for p in procs) >= _FINISH_LIMIT:
+            violations.append("latest possible finish max(it) + sum(st) must be below 2**1023")
+        if violations:
+            raise WorkloadError("; ".join(violations))
 
     def __len__(self) -> int:
         return len(self.processes)
@@ -102,37 +131,20 @@ def builtin_paper_workload() -> Workload:
     return Workload(processes=procs, name="paper-table1")
 
 
-def validate_workload(w: Workload) -> list[str]:
-    """Return the complete list of invariant violations; empty means ok."""
-    violations: list[str] = []
-    seen: set[int] = set()
-    for p in w.processes:
-        where = f"process {p.pi}"
-        if p.pi < 1:
-            violations.append(f"{where}: index must be >= 1")
-        if p.pi in seen:
-            violations.append(f"duplicate index {p.pi}")
-        seen.add(p.pi)
-        if p.it < 0:
-            violations.append(f"{where}: negative arrival time {p.it}")
-        if p.st < 1:
-            violations.append(f"{where}: service time must be >= 1")
-        if p.wt != 0:
-            violations.append(f"{where}: fresh workload must have wt = 0")
-        if p.es != 0:
-            violations.append(f"{where}: fresh workload must have es = 0")
-        if p.pr.minor != 0:
-            violations.append(f"{where}: fresh workload must have minor priority 0")
-    if w.processes and max(p.it for p in w.processes) + sum(p.st for p in w.processes) >= _FINISH_LIMIT:
-        violations.append("latest possible finish max(it) + sum(st) must be below 2**1023")
-    return violations
-
-
 _JSON_FIELDS = ("pi", "it", "st", "priority")
 _REQUIRED_FIELDS = ("pi", "it", "st")
 #: A CSV integer cell, as JSON would accept it: ASCII digits only, so no
 #: ``1_0`` and no digits of other scripts, which ``int()`` would take.
 _CSV_INT = re.compile(r"[+-]?[0-9]+")
+
+
+class _Number(str):
+    """A JSON number with a fraction or exponent, kept as written: 1e400 stays 1e400."""
+
+
+def _shown(text: str, limit: int = 40) -> str:
+    """``text`` as a message quotes it: at most ``limit`` characters, then its full length."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def _as_int(value: Any, field: str, where: str) -> int:
@@ -145,7 +157,7 @@ def _as_int(value: Any, field: str, where: str) -> int:
         elif isinstance(value, tuple):
             shown = "an object"
         else:
-            shown = json.dumps(value)
+            shown = _shown(value if isinstance(value, _Number) else json.dumps(value))
         raise WorkloadError(f"{where}: field {field!r} must be an integer, got {shown}")
     return value
 
@@ -155,7 +167,7 @@ def _check_names(names: list[str], where: str, noun: str) -> None:
     seen = set()
     for name in names:
         if name not in _JSON_FIELDS:
-            raise WorkloadError(f"{where}: unknown {noun} {name!r}")
+            raise WorkloadError(f"{where}: unknown {noun} {_shown(repr(name))}")
         if name in seen:
             raise WorkloadError(f"{where}: duplicate {noun} {name!r}")
         seen.add(name)
@@ -165,22 +177,16 @@ def _check_names(names: list[str], where: str, noun: str) -> None:
 
 
 def _process_from_fields(fields: dict[str, int]) -> Process:
-    # wt/es are never trusted from input; a fresh workload always starts at 0.
-    return Process(
-        pi=fields["pi"],
-        it=fields["it"],
-        st=fields["st"],
-        wt=0,
-        es=0,
-        pr=PriorityPair(fields.get("priority", 0), 0),
-    )
+    # wt/es are never read from input, so a parsed process starts with both at 0.
+    return Process(fields["pi"], fields["it"], fields["st"], pr=PriorityPair(fields.get("priority", 0), 0))
 
 
 def _parse_json(text: str) -> list[Process]:
     try:
         # Objects decode to tuples of (key, value) pairs, so that a repeated
-        # key is seen rather than silently keeping its last value.
-        data = json.loads(text, object_pairs_hook=tuple)
+        # key is seen rather than silently keeping its last value; other
+        # numbers than integers stay as written, for the message.
+        data = json.loads(text, object_pairs_hook=tuple, parse_float=_Number)
     except json.JSONDecodeError as e:
         raise WorkloadError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError:
@@ -230,7 +236,7 @@ def _parse_csv(text: str) -> list[Process]:
             if name == "priority" and cell == "":
                 continue
             if not _CSV_INT.fullmatch(cell):
-                raise WorkloadError(f"{where}: field {name!r} must be an integer, got {cell!r}")
+                raise WorkloadError(f"{where}: field {name!r} must be an integer, got {_shown(repr(cell))}")
             try:
                 fields[name] = int(cell)
             except ValueError:
@@ -271,11 +277,7 @@ def parse_workload(source: bytes | str | IO, fmt: str = "json", name: str = "") 
     else:
         raise WorkloadError(f"unknown workload format {fmt!r}; valid formats: json, csv")
 
-    w = Workload(processes=tuple(procs), name=name)
-    violations = validate_workload(w)
-    if violations:
-        raise WorkloadError("; ".join(violations))
-    return w
+    return Workload(processes=tuple(procs), name=name)
 
 
 def serialize_workload(w: Workload, fmt: str = "json") -> str:

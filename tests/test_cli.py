@@ -183,6 +183,18 @@ class TestErrorPaths:
                 assert err.startswith("error:") and message in err, (name, argv, err)
                 assert huge not in err, "the offending cell must not be echoed"
 
+    def test_invalid_process_same_error_on_every_path(self, capsys, tmp_path):
+        # The Workload rejects itself when parsed, before either engine runs.
+        for name, text in (
+            ("zero.json", '[{"pi": 1, "it": 0, "st": 0}]'),
+            ("zero.csv", "pi,it,st\n1,0,0\n"),
+        ):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            for argv in (("run",), ("run", "--engine", "oracle"), ("compare",)):
+                code, out, err = invoke(capsys, *argv, "--workload", str(path))
+                assert (code, out, err) == (1, "", "error: process 1: service time must be >= 1\n"), (name, argv)
+
     def test_step_limit_env_is_ignored(self, capsys, monkeypatch):
         # The budget is fixed at 4n; no environment variable reaches it.
         _, expected, _ = invoke(capsys, "run", "--policy", "fcfs")

@@ -67,8 +67,22 @@ class TestComputeMetrics:
     def test_missing_process_is_an_integrity_error(self, table1):
         state = simulate(table1, Policy.FCFS)
         short = state.marking["Finished"].value[:-1]
-        with pytest.raises(EngineError, match="does not match the workload"):
+        with pytest.raises(EngineError) as info:
             result_from_processes(short, table1, Policy.FCFS)
+        assert str(info.value) == (
+            "finished set does not match the workload: 5 records for 6 processes, "
+            "first missing pi 5, first extra pi none"
+        )
+
+    def test_integrity_error_is_bounded(self):
+        w = Workload(tuple(Process(pi=i, it=0, st=1) for i in range(1, 10_001)))
+        records = oracle_schedule(w, Policy.FCFS)
+        with pytest.raises(EngineError) as info:
+            result_from_processes(records[:17] + records[18:], w, Policy.FCFS)
+        assert str(info.value) == (
+            "finished set does not match the workload: 9999 records for 10000 processes, "
+            "first missing pi 18, first extra pi none"
+        )
 
     def test_empty_workload(self):
         w = Workload(())
@@ -121,8 +135,16 @@ class TestOracleAdapter:
     def test_unknown_pi_rejected(self, table1):
         records = oracle_schedule(table1, Policy.FCFS)
         bogus = records[:-1] + [Process(pi=99, it=0, st=1, wt=0, es=19, pr=PriorityPair(0, 0))]
-        with pytest.raises(EngineError, match="does not match the workload"):
+        with pytest.raises(EngineError) as info:
             result_from_processes(bogus, table1, Policy.FCFS)
+        assert str(info.value) == (
+            "finished set does not match the workload: 6 records for 6 processes, "
+            "first missing pi 5, first extra pi 99"
+        )
+        twice = records[:-1] + records[:1]
+        with pytest.raises(EngineError) as info:
+            result_from_processes(twice, table1, Policy.FCFS)
+        assert str(info.value).endswith(f"first missing pi 5, first extra pi {records[0].pi}")
 
     def test_single_process_workload(self):
         w = Workload((Process(1, 3, 2),))

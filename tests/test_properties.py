@@ -55,7 +55,7 @@ def random_procs(rng, n, with_pr=False, max_it=50):
 
 
 class TestPureOps:
-    def test_select_remove_partition(self):
+    def test_select_arrived_is_the_arrived_prefix(self):
         for case in range(CASES):
             rng = random.Random(10_000 + case)
             shuffled = random_procs(rng, rng.randint(0, 12))

@@ -238,9 +238,9 @@ class TestFullRuns:
         assert [p.es for p in res.finished] == [1, 5, 7, 11, 13, 16]
 
     def test_build_net_rejects_invalid_workload(self):
-        bad = Workload((Process(1, 0, 0),))
+        # The workload rejects itself before build_net is ever reached.
         with pytest.raises(WorkloadError, match="service time"):
-            build_net(bad, Policy.FCFS)
+            build_net(Workload((Process(1, 0, 0),)), Policy.FCFS)
 
     def test_hand_built_plain_list_marking_runs(self, table1):
         # A hand-built marking needs only a plain list, sorted like NewTasks.

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -13,7 +14,6 @@ from tcpnsched import (
     parse_workload,
     random_workload,
     serialize_workload,
-    validate_workload,
 )
 
 TABLE1_JSON = json.dumps(
@@ -44,41 +44,74 @@ class TestBuiltin:
         assert all(p.wt == 0 and p.es == 0 and p.pr.minor == 0 for p in table1.processes)
 
     def test_validates_clean(self, table1):
-        assert validate_workload(table1) == []
+        assert Workload(table1.processes, name=table1.name) == table1
 
 
 class TestValidate:
+    """A Workload checks its processes when it is built; an invalid one never exists."""
+
     def test_duplicate_index(self):
-        w = Workload((Process(3, 0, 1), Process(3, 1, 1)))
-        assert any("duplicate index 3" in v for v in validate_workload(w))
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(3, 0, 1), Process(3, 1, 1)))
+        assert str(info.value) == "duplicate index 3"
 
     def test_negative_arrival(self):
-        w = Workload((Process(1, -1, 1),))
-        assert any("negative arrival" in v for v in validate_workload(w))
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(1, -1, 1),))
+        assert str(info.value) == "process 1: negative arrival time -1"
 
     def test_service_time_floor(self):
-        w = Workload((Process(1, 0, 0),))
-        assert any("service time must be >= 1" in v for v in validate_workload(w))
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(1, 0, 0),))
+        assert str(info.value) == "process 1: service time must be >= 1"
 
     def test_index_floor(self):
-        w = Workload((Process(0, 0, 1),))
-        assert any("index must be >= 1" in v for v in validate_workload(w))
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(0, 0, 1),))
+        assert str(info.value) == "process 0: index must be >= 1"
 
     def test_stale_run_fields(self):
-        w = Workload((Process(1, 0, 1, wt=2, es=3),))
-        report = "; ".join(validate_workload(w))
-        assert "wt = 0" in report and "es = 0" in report
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(1, 0, 1, wt=2, es=3, pr=PriorityPair(0, 1)),))
+        assert str(info.value) == (
+            "process 1: fresh workload must have wt = 0; "
+            "process 1: fresh workload must have es = 0; "
+            "process 1: fresh workload must have minor priority 0"
+        )
 
     def test_latest_finish_must_fit_a_float(self):
         # max(it) + sum(st) bounds every finish time and so every average.
         fits = Workload((Process(1, 2**1022, 1), Process(2, 0, 2**1022 - 2)))
-        assert validate_workload(fits) == []
-        over = Workload((Process(1, 2**1022, 1), Process(2, 0, 2**1022 - 1)))
-        assert validate_workload(over) == ["latest possible finish max(it) + sum(st) must be below 2**1023"]
+        assert len(fits) == 2
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(1, 2**1022, 1), Process(2, 0, 2**1022 - 1)))
+        assert str(info.value) == "latest possible finish max(it) + sum(st) must be below 2**1023"
 
     def test_reports_are_complete(self):
-        w = Workload((Process(1, -1, 0), Process(1, 0, 1)))
-        assert len(validate_workload(w)) >= 3
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(1, -1, 0), Process(1, 0, 1)))
+        violations = str(info.value).split("; ")
+        assert violations == [
+            "process 1: negative arrival time -1",
+            "process 1: service time must be >= 1",
+            "duplicate index 1",
+        ]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((Process(1, 0, 0),), "process 1: service time must be >= 1"),
+            ((Process(2, 0, 1), Process(2, 1, 1)), "duplicate index 2"),
+            ((Process(1, 0, 1, es=4),), "process 1: fresh workload must have es = 0"),
+        ],
+        ids=["service-floor", "duplicate", "stamped"],
+    )
+    def test_replace_checks_again(self, table1, bad, message):
+        # dataclasses.replace builds a new Workload, so it cannot skip the check.
+        with pytest.raises(WorkloadError) as info:
+            dataclasses.replace(table1, processes=bad)
+        assert str(info.value) == message
+        assert dataclasses.replace(table1, name="renamed").processes == table1.processes
 
 
 class TestParseJson:
@@ -157,6 +190,27 @@ class TestParseJson:
             parse_workload(f'[{{"pi": {value}, "it": 0, "st": 1}}]', fmt="json")
         assert str(info.value) == f"entry 0: field 'pi' must be an integer, got {shown}"
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ('"' + "x" * 100_000 + '"', '"' + "x" * 39 + "... (100002 characters)"),
+            ("1e400", "1e400"),
+            ("-1e400", "-1e400"),
+            ("1.50", "1.50"),
+            ("1." + "0" * 100_000, "1." + "0" * 38 + "... (100002 characters)"),
+        ],
+        ids=["100k-string", "huge-float", "huge-negative-float", "float-as-written", "100k-digit-float"],
+    )
+    def test_rejected_value_shown_as_written_and_bounded(self, value, shown):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(f'[{{"pi": 1, "it": {value}, "st": 1}}]', fmt="json")
+        assert str(info.value) == f"entry 0: field 'it' must be an integer, got {shown}"
+
+    def test_unknown_field_name_bounded(self):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload('[{"pi": 1, "%s": 0, "st": 1}]' % ("k" * 100_000), fmt="json")
+        assert str(info.value) == "entry 0: unknown field '" + "k" * 39 + "... (100002 characters)"
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(WorkloadError, match=r"line 1 column"):
             parse_workload('[{"pi": 1,]', fmt="json")
@@ -210,6 +264,11 @@ class TestParseCsv:
         with pytest.raises(WorkloadError) as info:
             parse_workload(f"pi,it,st\n1,0,{cell}\n", fmt="csv")
         assert str(info.value) == f"line 2: field 'st' must be an integer, got {cell!r}"
+
+    def test_long_cell_shown_bounded(self):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload("pi,it,st\n1,0,%s\n" % ("x" * 100_000), fmt="csv")
+        assert str(info.value) == "line 2: field 'st' must be an integer, got '" + "x" * 39 + "... (100002 characters)"
 
     def test_signed_ascii_cells_parse(self):
         (p,) = parse_workload("pi,it,st,priority\n+1, 0 ,+2,-3\n", fmt="csv").processes
