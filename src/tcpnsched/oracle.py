@@ -5,8 +5,11 @@ net: selection works by ranking key tuples, never by pairwise comparison, so
 agreement between the two paths is evidence rather than tautology. Under
 FCFS, SJF and PR a process's rank does not depend on the clock, so each
 process is ranked once, on arrival, and the ready set is a binary heap of
-``(rank, process)`` entries. Under HRRN the rank grows with the wait, so each
-dispatch ranks every ready process afresh and takes the minimum.
+``(rank, process)`` entries. Under HRRN the rank grows with the wait, so the
+ready set is kept per service time as a queue of arrival groups, earliest
+first. With ``st`` fixed the response ratio never rises as ``it`` grows, so
+a dispatch computes one ratio per distinct ``st`` plus one per group tied
+at the top ratio, not one per ready process.
 
 The schedule it returns is the one the net ends with in Finished: the
 stamped ``Process`` records in completion order. Only the data model
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .workload import Policy, PriorityPair, Process, Workload
@@ -24,22 +28,54 @@ from .workload import Policy, PriorityPair, Process, Workload
 if TYPE_CHECKING:
     from .metrics import ScheduleResult
 
+#: The HRRN ready set: per service time, the arrival groups ``[it, heap of
+#: (pi, process)]`` in arrival order.
+_Groups = dict[int, deque[list]]
 
-def _rank_key(policy: Policy, now: int) -> Callable[[Process], tuple[int, int, int]]:
-    """The key ranking a ready process at ``now``: the smallest tuple wins.
+
+def _rank_key(policy: Policy) -> Callable[[Process], tuple[int, int, int]]:
+    """The key ranking a ready process under FCFS, SJF or PR: the smallest tuple wins.
 
     The tuple is ``(major, minor, pi)`` of the priority pair the dispatch
-    records. Majors whose greater value is higher priority (PR, HRRN) are
-    negated; minors and the index always prefer the earlier/lower value.
-    Since ``pi`` is unique, two ranks never tie. Only HRRN reads ``now``.
+    records. PR's major, whose greater value is higher priority, is negated;
+    minors and the index always prefer the earlier/lower value. Since ``pi``
+    is unique, two ranks never tie.
     """
     if policy is Policy.FCFS:
         return lambda p: (p.it, 0, p.pi)
     if policy is Policy.SJF:
         return lambda p: (p.st, p.it, p.pi)
-    if policy is Policy.PR:
-        return lambda p: (-p.pr.major, p.it, p.pi)
-    return lambda p: (-((p.st + now - p.it) * 100 // p.st), 0, p.pi)
+    return lambda p: (-p.pr.major, p.it, p.pi)
+
+
+def _hrrn_take(ready: _Groups, now: int) -> tuple[int, Process]:
+    """Remove the ready process with the highest x100-floored response ratio at ``now``.
+
+    Returns the ratio and the process; among equal ratios the lowest ``pi``
+    wins. Within one deque ``it`` grows, so the ratio ``(st + now - it) *
+    100 // st`` never rises: the head group holds the deque's best ratio,
+    and the groups at the top ratio are a prefix of the deque.
+    """
+    ratios = [(st + now - groups[0][0]) * 100 // st for st, groups in ready.items()]
+    top = max(ratios)
+    pick = None
+    for st, ratio in zip(ready, ratios):
+        if ratio != top:
+            continue
+        # The head group is at the top; walk the later groups while they tie it.
+        for k, (it, heap) in enumerate(ready[st]):
+            if k and (st + now - it) * 100 // st != top:
+                break
+            if pick is None or heap[0][0] < pick[0]:
+                pick = (heap[0][0], st, k)
+    _, st, k = pick
+    groups = ready[st]
+    _, best = heapq.heappop(groups[k][1])
+    if not groups[k][1]:
+        del groups[k]
+        if not groups:
+            del ready[st]
+    return top, best
 
 
 def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
@@ -52,12 +88,12 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
     priority pair it was ranked by. ``w`` was checked when it was built, so
     this raises no WorkloadError.
     """
-    # FCFS, SJF and PR ranks ignore the clock, so one key serves the run.
-    static = policy is not Policy.HRRN
-    key = _rank_key(policy, 0)
+    hrrn = policy is Policy.HRRN
+    key = None if hrrn else _rank_key(policy)
+    # Sorted by (it, pi): HRRN arrivals only ever append to a deque or group.
     pending = sorted(w.processes, key=lambda p: (p.it, p.pi))
-    # Static policies: a heap of (rank, process); HRRN: the arrived processes.
-    ready: list = []
+    # FCFS, SJF and PR: a heap of (rank, process); HRRN: see _Groups.
+    ready: list | _Groups = {} if hrrn else []
     finished: list[Process] = []
     t = 0
     i = 0
@@ -66,19 +102,20 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
             t = pending[i].it
         while i < len(pending) and pending[i].it <= t:
             p = pending[i]
-            if static:
-                heapq.heappush(ready, (key(p), p))
+            if hrrn:
+                groups = ready.setdefault(p.st, deque())
+                if not groups or groups[-1][0] != p.it:
+                    groups.append([p.it, []])
+                heapq.heappush(groups[-1][1], (p.pi, p))
             else:
-                ready.append(p)
+                heapq.heappush(ready, (key(p), p))
             i += 1
-        if static:
-            rank, best = heapq.heappop(ready)
+        if hrrn:
+            ratio, best = _hrrn_take(ready, t)
+            pr = PriorityPair(ratio, 0)
         else:
-            ranks = list(map(_rank_key(policy, t), ready))
-            rank = min(ranks)
-            best = ready.pop(ranks.index(rank))
-        major, minor, _ = rank
-        pr = PriorityPair(-major if policy in (Policy.PR, Policy.HRRN) else major, minor)
+            (major, minor, _), best = heapq.heappop(ready)
+            pr = PriorityPair(-major if policy is Policy.PR else major, minor)
         finished.append(Process(pi=best.pi, it=best.it, st=best.st, wt=t - best.it, es=t, pr=pr))
         t += best.st
     return finished

@@ -82,7 +82,9 @@ class Workload:
     name: str = ""
 
     def __post_init__(self) -> None:
-        procs = self.processes
+        # Stored as a tuple, so that no one can change the processes once checked.
+        procs = tuple(self.processes)
+        object.__setattr__(self, "processes", procs)
         violations: list[str] = []
         seen: set[int] = set()
         for p in procs:

@@ -5,14 +5,28 @@ ranges. The workloads here are built from the shapes those ranges rarely
 reach: gaps of up to 10**7 ticks, bursts and duplicate arrival times at one
 instant, HRRN response ratios that tie after the x100 floor, and arrival and
 service times of 2**63 and above. Each workload is handed over in shuffled
-input order, so the engine's own sort of NewTasks is exercised too.
+input order, so the engine's own sort of NewTasks is exercised too. Two
+8,000-process HRRN queues check both paths at a size where a ready queue
+ranked afresh at every dispatch would be quadratic.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_schedule_invariants, run_checked
-from tcpnsched import Policy, PriorityPair, Process, Workload, diff_results, oracle_schedule
+from tcpnsched import (
+    Policy,
+    PriorityPair,
+    Process,
+    Workload,
+    compute_metrics,
+    diff_results,
+    oracle_schedule,
+    simulate,
+)
 
 BIG = 2**63
 
@@ -49,3 +63,18 @@ def test_engine_matches_oracle_on_arrival_shapes(w):
         result = assert_schedule_invariants(w, policy, run_checked(w, policy))
         report = diff_results(result, oracle_schedule(w, policy), oracle_policy=policy)
         assert report == [], f"{policy.value}: {report}"
+
+
+@pytest.mark.parametrize("shape", ["burst-t0", "overload"])
+def test_engine_matches_oracle_on_long_hrrn_queues(shape):
+    # A burst of 8,000 at t=0, or one arrival a tick against a mean service
+    # of 10.5 ticks; st in 1..20 either way, so the queue grows to most of n.
+    rng = random.Random(2024)
+    n = 8_000
+    procs = tuple(
+        Process(pi=i, it=0 if shape == "burst-t0" else i, st=rng.randint(1, 20))
+        for i in range(1, n + 1)
+    )
+    w = Workload(procs, name=f"{shape}-{n}")
+    result = compute_metrics(simulate(w, Policy.HRRN), w, Policy.HRRN)
+    assert diff_results(result, oracle_schedule(w, Policy.HRRN), oracle_policy=Policy.HRRN) == []

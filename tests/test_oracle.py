@@ -136,6 +136,54 @@ def _hrrn_floor_ties(seed: int) -> Workload:
     return Workload(tuple(procs), name=f"hrrn-ties-{seed}")
 
 
+def _shuffled(procs: list[Process], rng: random.Random, name: str) -> Workload:
+    # Fresh pis in random order, so that the lowest pi of a tie can sit in
+    # any arrival group; the input order is shuffled too.
+    pis = list(range(1, len(procs) + 1))
+    rng.shuffle(pis)
+    procs = [dataclasses.replace(p, pi=pi) for p, pi in zip(procs, pis)]
+    rng.shuffle(procs)
+    return Workload(tuple(procs), name=name)
+
+
+def _overload(seed: int, n: int = 300) -> Workload:
+    # One arrival a tick against a mean service of 10.5 ticks: the ready
+    # queue grows to most of n, with one arrival group per tick.
+    rng = random.Random(seed)
+    procs = [Process(pi=i, it=i, st=rng.randint(1, 20)) for i in range(1, n + 1)]
+    return _shuffled(procs, rng, f"overload-{seed}")
+
+
+def _hrrn_group_ties(seed: int, n: int = 300) -> Workload:
+    # Few service times, all >= 101, over 41 arrival instants: several
+    # arrival groups of one st floor to the same ratio at once.
+    rng = random.Random(seed)
+    procs = [
+        Process(pi=i, it=rng.randint(0, 40), st=rng.choice((101, 150, 200, 300, 400)))
+        for i in range(1, n + 1)
+    ]
+    return _shuffled(procs, rng, f"hrrn-group-ties-{seed}")
+
+
+def _hrrn_short_and_long(seed: int, n: int = 300) -> Workload:
+    # st 1 and 2, whose ratios climb by 100 or 50 a tick, beside st >= 101,
+    # whose ratios stay floored at the same value for a long time.
+    rng = random.Random(seed)
+    procs = [
+        Process(pi=i, it=rng.randint(0, 60), st=rng.choice((1, 2, rng.randint(101, 1_000))))
+        for i in range(1, n + 1)
+    ]
+    return _shuffled(procs, rng, f"hrrn-short-long-{seed}")
+
+
+def _distinct_st_burst(seed: int, n: int = 300) -> Workload:
+    # Everything at t=0 and every st its own: one arrival group per st.
+    rng = random.Random(seed)
+    sts = rng.sample(range(1, 10**6 + 1), n)
+    procs = [Process(pi=i, it=0, st=st) for i, st in enumerate(sts, start=1)]
+    return _shuffled(procs, rng, f"distinct-st-burst-{seed}")
+
+
 class TestIndependence:
     """The oracle is evidence only while it shares no selection code with the engine."""
 
@@ -199,6 +247,11 @@ class TestAgainstReferenceRule:
         make_corpus(11, 300)
         + [_bursts(seed) for seed in range(3)]
         + [_hrrn_floor_ties(seed) for seed in range(20)]
+        + [
+            shape(seed)
+            for shape in (_overload, _hrrn_group_ties, _hrrn_short_and_long, _distinct_st_burst)
+            for seed in range(2)
+        ]
     )
 
     @pytest.mark.parametrize("policy", list(Policy))

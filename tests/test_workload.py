@@ -79,6 +79,16 @@ class TestValidate:
             "process 1: fresh workload must have minor priority 0"
         )
 
+    def test_a_list_is_stored_as_a_tuple(self):
+        # The processes are checked once, so they must not change afterwards.
+        procs = [Process(1, 0, 1)]
+        w = Workload(procs)
+        assert w.processes == (Process(1, 0, 1),)
+        procs.append(Process(1, 0, 0))
+        assert len(w) == 1
+        with pytest.raises(AttributeError):
+            w.processes.append(Process(1, 0, 0))
+
     def test_latest_finish_must_fit_a_float(self):
         # max(it) + sum(st) bounds every finish time and so every average.
         fits = Workload((Process(1, 2**1022, 1), Process(2, 0, 2**1022 - 2)))
