@@ -3,7 +3,7 @@
 Four places, each holding one list-of-Process token:
 
     NewTasks    processes that have not yet entered the system, sorted by
-                (arrival time, index)
+                (arrival time, index) descending, so the next arrival is last
     ReadyQueue  arrived processes waiting to be scheduled
     Running     the process currently on the machine (length <= 1)
     Finished    completed processes in completion order
@@ -18,10 +18,10 @@ machine has nothing arrived to do, so one firing covers a whole gap.
 
 Each action owns the lists of its consumed places (the kernel's contract)
 and moves records between them in place, so no firing copies a list.
-NewTasks is sorted once, in the initial marking, and Activate only ever
-deletes a prefix of it, so the sort is a marking invariant and the arrived
-processes are always a prefix: ``select_arrived`` finds them with one binary
-search, and ``exists_arrived`` and Idle read only its head.
+NewTasks is sorted once, in the initial marking, and Activate only ever pops
+its last record, so the sort is a marking invariant and the arrived
+processes are always a suffix: ``exists_arrived`` and Idle read only the
+last record, and Activate pops while ``exists_arrived`` holds.
 
 Dispatch elects the process that the paper's full refresh would elect,
 ``elect(update_all(ready, policy, now), policy)``, without rebuilding the
@@ -67,27 +67,18 @@ PLACES = (NEW_TASKS, READY_QUEUE, RUNNING, FINISHED)
 #: Fixed-point scale for fractional HRRN response ratios.
 HRRN_SCALE = 100
 
-_arrival = attrgetter("it")
 _service = attrgetter("st")
 _service_arrival = attrgetter("st", "it")
 _hrrn_order = attrgetter("st", "it", "pi")
 
 
-def select_arrived(l: list[Process], now: int) -> list[Process]:
-    """The arrived processes of ``l``: its prefix with ``it <= now``.
-
-    ``l`` must be sorted by arrival time, as NewTasks is.
-    """
-    return l[: bisect.bisect_right(l, now, key=_arrival)]
-
-
 def exists_arrived(l: list[Process], now: int) -> bool:
     """True iff some process of ``l`` has arrived by ``now``.
 
-    ``l`` must be sorted by arrival time, as NewTasks is, so only its head
-    can decide.
+    ``l`` must be sorted latest arrival first, as NewTasks is, so only its
+    last record can decide.
     """
-    return bool(l) and l[0].it <= now
+    return bool(l) and l[-1].it <= now
 
 
 def hrrn_ratio(st: int, wt: int) -> int:
@@ -102,8 +93,6 @@ def update_priority(policy: Policy, p: Process) -> Process:
     arrival as tie-break minor. HRRN: response ratio (service + waiting) /
     service, fixed-point scaled by HRRN_SCALE with integer division.
     """
-    if p.st < 1:
-        raise ValueError(f"process {p.pi}: service time must be >= 1")
     if policy is Policy.FCFS:
         pr = PriorityPair(p.it, 0)
     elif policy is Policy.SJF:
@@ -199,8 +188,8 @@ class SchedulerNet:
     net: Net
 
     def initial_state(self) -> EngineState:
-        """Fresh initial marking: all processes in NewTasks by ``(it, pi)``, clock 0."""
-        arrivals = sorted(self.workload.processes, key=lambda p: (p.it, p.pi))
+        """Fresh initial marking: all processes in NewTasks, next arrival last; clock 0."""
+        arrivals = sorted(self.workload.processes, key=lambda p: (p.it, p.pi), reverse=True)
         marking = {
             NEW_TASKS: TimedToken(arrivals, 0),
             READY_QUEUE: TimedToken([], 0),
@@ -224,12 +213,13 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
 
     def activate_action(v, clock):
         new, ready = v[NEW_TASKS], v[READY_QUEUE]
-        moved = select_arrived(new, clock)
-        for p in moved:
+        activated = []
+        while exists_arrived(new, clock):
+            p = new.pop()
+            activated.append(p.pi)
             bisect.insort(ready, p if hrrn else update_priority(policy, p), key=order)
-        del new[: len(moved)]
         outputs = {NEW_TASKS: TimedToken(new, clock), READY_QUEUE: TimedToken(ready, clock)}
-        return outputs, {"activated": [p.pi for p in moved]}
+        return outputs, {"activated": activated}
 
     def execute_guard(v, clock):
         return len(v[RUNNING]) == 1
@@ -285,8 +275,8 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
 
     def idle_action(v, clock):
         # The token value is unchanged; only its ready-time moves, to the next
-        # arrival (the head of NewTasks), since nothing can fire before it.
-        until = v[NEW_TASKS][0].it
+        # arrival (the last record of NewTasks), since nothing can fire before it.
+        until = v[NEW_TASKS][-1].it
         return {NEW_TASKS: TimedToken(v[NEW_TASKS], until)}, {"idle_until": until}
 
     transitions = (

@@ -35,9 +35,9 @@ def make_corpus(seed: int, count: int, **ranges) -> list[Workload]:
     ]
 
 
-def by_arrival(procs) -> list[Process]:
-    """``procs`` in NewTasks order: sorted by ``(it, pi)``."""
-    return sorted(procs, key=lambda p: (p.it, p.pi))
+def new_tasks_order(procs) -> list[Process]:
+    """``procs`` in NewTasks order: by ``(it, pi)`` descending, next arrival last."""
+    return sorted(procs, key=lambda p: (p.it, p.pi), reverse=True)
 
 
 def run_checked(w: Workload, policy: Policy) -> EngineState:
@@ -45,8 +45,8 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
 
     Checks at every firing: the marking covers exactly the four places, the
     pi multiset over all places equals the workload's, Running holds at most
-    one process, the clock never decreases, NewTasks is sorted by
-    ``(it, pi)``, no arrived process sits in NewTasks after an Activate or a
+    one process, the clock never decreases, NewTasks is strictly descending
+    by ``(it, pi)``, no arrived process sits in NewTasks after an Activate or a
     Dispatch, under FCFS, SJF and PR the ReadyQueue is ordered by
     ``compare_process`` with the best process last, and under HRRN it is
     strictly ascending by ``(st, it, pi)``. Tokens move and are never
@@ -75,8 +75,8 @@ def run_checked(w: Workload, policy: Policy) -> EngineState:
         assert state.clock == last_clock
         # Scan NewTasks independently of the list functions the net runs.
         new = state.marking[NEW_TASKS].value
-        assert all((a.it, a.pi) < (b.it, b.pi) for a, b in zip(new, new[1:])), (
-            f"NewTasks not sorted by (it, pi) after {t.name}"
+        assert all((a.it, a.pi) > (b.it, b.pi) for a, b in zip(new, new[1:])), (
+            f"NewTasks not descending by (it, pi) after {t.name}"
         )
         # Activate takes every arrived process; Dispatch only reads NewTasks,
         # so after it NewTasks still holds what its guard saw.

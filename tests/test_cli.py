@@ -85,6 +85,52 @@ class TestRun:
         assert doc["trace"], "trace must be present and non-empty"
         assert set(doc["trace"][0]) == {"t", "transition", "detail"}
 
+    def test_fcfs_trace_on_paper_table1(self, capsys):
+        argv = ("run", "--policy", "fcfs", "--workload", "paper-table1", "--format", "json", "--trace")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        fired = [(r["t"], r["transition"], r["detail"]) for r in json.loads(out)["trace"]]
+        assert fired == [
+            (0, "Idle", {"idle_until": 1}),
+            (1, "Activate", {"activated": [6]}),
+            (1, "Dispatch", {"dispatched": 6, "wt": 0, "pr": [1, 0]}),
+            (1, "Execute", {"executed": 6, "start": 1, "finish": 4}),
+            (4, "Idle", {"idle_until": 5}),
+            (5, "Activate", {"activated": [4]}),
+            (5, "Dispatch", {"dispatched": 4, "wt": 0, "pr": [5, 0]}),
+            (5, "Execute", {"executed": 4, "start": 5, "finish": 7}),
+            (7, "Activate", {"activated": [1, 2]}),
+            (7, "Dispatch", {"dispatched": 1, "wt": 1, "pr": [6, 0]}),
+            (7, "Execute", {"executed": 1, "start": 7, "finish": 11}),
+            (11, "Activate", {"activated": [3, 5]}),
+            (11, "Dispatch", {"dispatched": 2, "wt": 4, "pr": [7, 0]}),
+            (11, "Execute", {"executed": 2, "start": 11, "finish": 14}),
+            (14, "Dispatch", {"dispatched": 3, "wt": 6, "pr": [8, 0]}),
+            (14, "Execute", {"executed": 3, "start": 14, "finish": 16}),
+            (16, "Dispatch", {"dispatched": 5, "wt": 7, "pr": [9, 0]}),
+            (16, "Execute", {"executed": 5, "start": 16, "finish": 19}),
+        ]
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_trace_activates_a_tie_by_index_then_idles_to_the_next_arrival(self, capsys, tmp_path, policy):
+        # Three processes arrive together, listed out of pi order, then a gap.
+        path = tmp_path / "tie.json"
+        path.write_text(
+            '[{"pi": 7, "it": 3, "st": 2}, {"pi": 2, "it": 3, "st": 1},'
+            ' {"pi": 9, "it": 20, "st": 1}, {"pi": 5, "it": 3, "st": 1}]'
+        )
+        argv = ("run", "--policy", policy.value, "--workload", str(path), "--format", "json", "--trace")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        trace = json.loads(out)["trace"]
+        fired = [(r["t"], r["transition"], r["detail"]) for r in trace if r["transition"] in ("Activate", "Idle")]
+        assert fired == [
+            (0, "Idle", {"idle_until": 3}),
+            (3, "Activate", {"activated": [2, 5, 7]}),
+            (7, "Idle", {"idle_until": 20}),
+            (20, "Activate", {"activated": [9]}),
+        ]
+
     @pytest.mark.parametrize("policy", list(Policy))
     def test_oracle_engine_matches_cpn_engine(self, capsys, policy):
         _, cpn, _ = invoke(capsys, "run", "--policy", policy.value, "--engine", "cpn")

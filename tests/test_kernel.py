@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import by_arrival
+from helpers import new_tasks_order
 from tcpnsched import (
     EngineError,
     EngineState,
@@ -217,7 +217,7 @@ class TestRun:
         first = run(sn.net, initial).marking[FINISHED].value
         second = run(sn.net, initial).marking[FINISHED].value
         assert len(first) == len(table1) and first == second
-        assert initial.marking[NEW_TASKS].value == by_arrival(table1.processes)
+        assert initial.marking[NEW_TASKS].value == new_tasks_order(table1.processes)
         assert all(initial.marking[name].value == [] for name in (READY_QUEUE, RUNNING, FINISHED))
         assert initial.clock == 0 and initial.trace == []
 
@@ -265,7 +265,7 @@ class TestSchedulerNetExamples:
 
     def test_dispatch_enabled_when_ready_nonempty_and_nothing_arrived(self, table1):
         sn = build_net(table1, Policy.FCFS)
-        procs = by_arrival(table1.processes)
+        procs = new_tasks_order(table1.processes)
         state = EngineState(
             marking={
                 NEW_TASKS: TimedToken([p for p in procs if p.it > 2], 0),
@@ -284,15 +284,15 @@ class TestSchedulerNetExamples:
         state.clock = 1
         assert next(steps(sn.net, state)).name == "Activate"
         assert [p.pi for p in state.marking[READY_QUEUE].value] == [6]
-        # NewTasks is sorted by (it, pi), so the rest stay in arrival order.
-        assert [p.pi for p in state.marking[NEW_TASKS].value] == [4, 1, 2, 3, 5]
+        # NewTasks is descending by (it, pi), so the rest stay latest first.
+        assert [p.pi for p in state.marking[NEW_TASKS].value] == [5, 3, 2, 1, 4]
 
     def test_fire_execute_stamps_start_and_delays_tokens(self, table1):
         sn = build_net(table1, Policy.FCFS)
         p6 = table1.processes[5]
         state = EngineState(
             marking={
-                NEW_TASKS: TimedToken(by_arrival(p for p in table1.processes if p.pi != 6), 1),
+                NEW_TASKS: TimedToken(new_tasks_order(p for p in table1.processes if p.pi != 6), 1),
                 READY_QUEUE: TimedToken([], 1),
                 RUNNING: TimedToken([p6], 1),
                 FINISHED: TimedToken([], 1),

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import assert_schedule_invariants, by_arrival, make_corpus, run_checked
+from helpers import assert_schedule_invariants, make_corpus, new_tasks_order, run_checked
 from tcpnsched import (
     EngineState,
     Policy,
@@ -32,7 +32,6 @@ from tcpnsched.sched import (
     elect,
     exists_arrived,
     hrrn_ratio,
-    select_arrived,
     update_all,
 )
 
@@ -55,17 +54,11 @@ def random_procs(rng, n, with_pr=False, max_it=50):
 
 
 class TestPureOps:
-    def test_select_arrived_is_the_arrived_prefix(self):
+    def test_exists_arrived_matches_a_scan(self):
         for case in range(CASES):
             rng = random.Random(10_000 + case)
             shuffled = random_procs(rng, rng.randint(0, 12))
-            l = by_arrival(shuffled)
             now = rng.randint(0, 60)
-            sel = select_arrived(l, now)
-            # On a list sorted like NewTasks the arrived processes are a prefix.
-            assert sel == l[: len(sel)]
-            assert all(p.it <= now for p in sel)
-            assert all(p.it > now for p in l[len(sel) :])
             # Check exists_arrived against a scan on the NewTasks tokens of a
             # real run, before and after the first Activate.
             w = Workload(tuple(Process(pi=p.pi, it=p.it, st=p.st) for p in shuffled))
@@ -77,7 +70,7 @@ class TestPureOps:
                 if t is not None and t.name == "Activate":
                     tokens.append(list(state.marking[NEW_TASKS].value))
                     break
-            assert len(tokens) == (2 if l else 1)
+            assert len(tokens) == (2 if shuffled else 1)
             for token in tokens:
                 assert exists_arrived(token, now) == any(p.it <= now for p in token)
 
@@ -157,7 +150,7 @@ class TestDispatch:
             sn = build_net(one, policy)
             state = EngineState(
                 marking={
-                    NEW_TASKS: TimedToken(by_arrival(procs), first),
+                    NEW_TASKS: TimedToken(new_tasks_order(procs), first),
                     READY_QUEUE: TimedToken([], first),
                     RUNNING: TimedToken([], now),
                     FINISHED: TimedToken([], first),

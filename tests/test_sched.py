@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import by_arrival
+from helpers import new_tasks_order
 from tcpnsched import (
     EngineState,
     Policy,
@@ -24,7 +24,6 @@ from tcpnsched.sched import (
     elect,
     exists_arrived,
     is_idle,
-    select_arrived,
     set_execution_start,
     update_all,
     update_priority,
@@ -60,18 +59,10 @@ def dispatch(table1, policy, ready_pis, clock):
 
 
 class TestArrivalOps:
-    # The list functions take NewTasks, which is sorted by (it, pi).
-    def test_select_arrived(self, table1):
-        l = by_arrival(table1.processes)
-        assert [p.pi for p in select_arrived(l, 1)] == [6]
-        assert [p.pi for p in select_arrived(l, 6)] == [6, 4, 1]
-        assert select_arrived([], 99) == []
-        assert [p.pi for p in select_arrived([proc(4, it=5), proc(1, it=6)], 5)] == [4]
-        assert [p.pi for p in select_arrived([proc(2, it=5), proc(7, it=5)], 5)] == [2, 7]
-
+    # The list functions take NewTasks, which is descending by (it, pi).
     def test_activate_leaves_pending_suffix(self, table1):
         # The first step at ``now`` fires Activate when something has arrived,
-        # and leaves the not-yet-arrived suffix in NewTasks.
+        # and leaves the not-yet-arrived processes in NewTasks, latest first.
         def first_step(procs, now):
             sn = build_net(Workload(tuple(procs)), Policy.FCFS)
             state = sn.initial_state()
@@ -79,18 +70,18 @@ class TestArrivalOps:
             fired = next(steps(sn.net, state), None)
             return fired and fired.name, [p.pi for p in state.marking[NEW_TASKS].value]
 
-        assert first_step(table1.processes, 1) == ("Activate", [4, 1, 2, 3, 5])
-        assert first_step(table1.processes, 0) == ("Idle", [6, 4, 1, 2, 3, 5])
+        assert first_step(table1.processes, 1) == ("Activate", [5, 3, 2, 1, 4])
+        assert first_step(table1.processes, 0) == ("Idle", [5, 3, 2, 1, 4, 6])
         assert first_step([], 99) == (None, [])
         assert first_step([proc(4, it=5), proc(1, it=6)], 5) == ("Activate", [1])
         assert first_step([proc(2, it=5), proc(7, it=5)], 5) == ("Activate", [])
 
     def test_exists_arrived(self, table1):
-        l = by_arrival(table1.processes)
+        l = new_tasks_order(table1.processes)
         assert exists_arrived(l, 0) is False
         assert exists_arrived(l, 1) is True
-        assert exists_arrived(l[1:], 4) is False
-        assert exists_arrived(l[1:], 5) is True
+        assert exists_arrived(l[:-1], 4) is False
+        assert exists_arrived(l[:-1], 5) is True
         assert exists_arrived([], 0) is False
 
 
@@ -110,10 +101,6 @@ class TestPriorityUpdates:
     def test_hrrn_ratio_scaled_by_100(self):
         assert update_priority(Policy.HRRN, proc(5, st=3, wt=7)).pr == PriorityPair(333, 0)
         assert update_priority(Policy.HRRN, proc(5, st=3, wt=0)).pr == PriorityPair(100, 0)
-
-    def test_service_time_guard(self):
-        with pytest.raises(ValueError, match="service time"):
-            update_priority(Policy.HRRN, proc(1, st=0))
 
     def test_other_fields_untouched(self):
         p = proc(2, it=3, st=4, wt=5, es=6, pr=(7, 0))
@@ -140,7 +127,7 @@ class TestPriorityUpdates:
         assert update_all([], Policy.HRRN, 3) == []
 
     def test_update_all_fcfs_majors_are_arrivals(self, table1):
-        l = select_arrived(by_arrival(table1.processes), 7)
+        l = sorted((p for p in table1.processes if p.it <= 7), key=lambda p: (p.it, p.pi))
         assert [p.pi for p in l] == [6, 4, 1, 2]
         u = update_all(l, Policy.FCFS, 7)
         assert [p.pr.major for p in u] == [p.it for p in l]
@@ -206,9 +193,9 @@ class TestStamps:
         assert set_execution_start(proc(1), 0).es == 0
 
     def test_is_idle(self, table1):
-        # Table 1 after P6 arrives at t=1: P4 arrives at 5, the rest later.
+        # Table 1 after P6 arrives at t=1, latest first: P4 arrives at 5, the rest later.
         by_pi = {p.pi: p for p in table1.processes}
-        remainder = [by_pi[pi] for pi in (4, 1, 2, 3, 5)]
+        remainder = [by_pi[pi] for pi in (5, 3, 2, 1, 4)]
         assert is_idle([], remainder, [], 4) is True
         assert is_idle([], remainder, [table1.processes[5]], 4) is False
         assert is_idle([], [], [], 4) is False
@@ -249,7 +236,7 @@ class TestFullRuns:
         sn = build_net(table1, Policy.FCFS)
         state = EngineState(
             marking={
-                NEW_TASKS: TimedToken(by_arrival(table1.processes), 0),
+                NEW_TASKS: TimedToken(new_tasks_order(table1.processes), 0),
                 READY_QUEUE: TimedToken([], 0),
                 RUNNING: TimedToken([], 0),
                 FINISHED: TimedToken([], 0),
