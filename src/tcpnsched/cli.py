@@ -71,6 +71,48 @@ def result_json_doc(result: ScheduleResult) -> dict:
     }
 
 
+#: One entry of the ``processes`` array, laid out as ``json.dumps(doc, indent=2)``
+#: lays out an object at depth 2.
+_PROCESS_JSON = """\
+    {
+      "pi": %d,
+      "it": %d,
+      "st": %d,
+      "wt": %d,
+      "es": %d,
+      "finish": %d,
+      "turnaround": %d,
+      "pr": [
+        %d,
+        %d
+      ]
+    }"""
+
+
+def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
+    """``json.dumps(doc, indent=2)`` of ``result_json_doc(result)``, byte for byte.
+
+    A ``trace`` given is added to the document under ``"trace"``. The
+    ``processes`` array is written from ``_PROCESS_JSON`` and spliced into
+    the rest of the document, which ``json.dumps`` writes.
+    """
+    doc = result_json_doc(result)
+    procs, doc["processes"] = doc["processes"], []
+    if trace is not None:
+        doc["trace"] = trace
+    text = json.dumps(doc, indent=2)
+    if not procs:
+        return text
+    array = ",\n".join(
+        [
+            _PROCESS_JSON % (p["pi"], p["it"], p["st"], p["wt"], p["es"], p["finish"], p["turnaround"], *p["pr"])
+            for p in procs
+        ]
+    )
+    # A JSON string holds no raw newline, so only the top-level key matches.
+    return text.replace('\n  "processes": []', f'\n  "processes": [\n{array}\n  ]', 1)
+
+
 def _result_table(result: ScheduleResult) -> str:
     header = f"{'pi':>4} {'it':>4} {'st':>4} {'wt':>4} {'es':>4} {'finish':>7} {'turnaround':>11} {'pr':>12}"
     lines = [f"policy: {result.policy.value}", header, "-" * len(header)]
@@ -100,18 +142,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.engine == "cpn":
         state = simulate(w, policy)
         result = compute_metrics(state, w, policy)
-        trace = trace_records(state.trace) if args.trace else []
+        trace = trace_records(state.trace) if args.trace else None
     else:
         result = result_from_processes(oracle_schedule(w, policy), w, policy)
+        trace = None
 
     if args.format == "json":
-        doc = result_json_doc(result)
-        if args.trace:
-            doc["trace"] = trace
-        print(json.dumps(doc, indent=2))
+        print(result_json_text(result, trace))
     else:
         sys.stdout.write(gantt_csv(result) if args.format == "gantt-csv" else _result_table(result))
-        if args.trace:
+        if trace is not None:
             print(json.dumps(trace))
     return EXIT_OK
 

@@ -9,7 +9,8 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, IO, NamedTuple
+from operator import itemgetter
+from typing import Any, IO, Iterable, NamedTuple
 
 
 #: Every finish time must stay below this, so that the averages, which are
@@ -149,22 +150,20 @@ def _shown(text: str, limit: int = 40) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-def _as_int(value: Any, field: str, where: str) -> int:
-    # bool is an int subclass; a true/false arrival time is a schema error.
-    if isinstance(value, bool) or not isinstance(value, int):
-        # A container is named by its kind, so the message stays short
-        # however large or deep it is; objects decode to tuples of pairs.
-        if isinstance(value, list):
-            shown = "an array"
-        elif isinstance(value, tuple):
-            shown = "an object"
-        else:
-            shown = _shown(value if isinstance(value, _Number) else json.dumps(value))
-        raise WorkloadError(f"{where}: field {field!r} must be an integer, got {shown}")
-    return value
+def _not_an_integer(value: Any, field: str, where: str) -> WorkloadError:
+    """The error for a JSON value that is not an integer."""
+    # A container is named by its kind, so the message stays short however
+    # large or deep it is; objects decode to tuples of pairs.
+    if isinstance(value, list):
+        shown = "an array"
+    elif isinstance(value, tuple):
+        shown = "an object"
+    else:
+        shown = _shown(value if isinstance(value, _Number) else json.dumps(value))
+    return WorkloadError(f"{where}: field {field!r} must be an integer, got {shown}")
 
 
-def _check_names(names: list[str], where: str, noun: str) -> None:
+def _check_names(names: Iterable[str], where: str, noun: str) -> None:
     """Reject the first unknown or repeated name, then a missing required one."""
     seen = set()
     for name in names:
@@ -203,13 +202,22 @@ def _parse_json(text: str) -> list[Process]:
     if not isinstance(data, list):
         raise WorkloadError("workload JSON must be an array of process objects")
     procs = []
+    # Most files give every entry the same keys in the same order, so each
+    # order is checked once; a duplicate key never gets past this check.
+    checked: set[tuple[str, ...]] = set()
     for i, entry in enumerate(data):
-        where = f"entry {i}"
         if not isinstance(entry, tuple):
-            raise WorkloadError(f"{where}: expected an object, got {type(entry).__name__}")
-        _check_names([key for key, _ in entry], where, "field")
-        fields = {k: _as_int(v, k, where) for k, v in entry}
-        procs.append(_process_from_fields(fields))
+            raise WorkloadError(f"entry {i}: expected an object, got {type(entry).__name__}")
+        names = tuple(map(itemgetter(0), entry))
+        if names not in checked:
+            _check_names(names, f"entry {i}", "field")
+            checked.add(names)
+        for name, value in entry:
+            # bool is an int subclass, and true/false is a schema error;
+            # json.loads makes no other int subclass.
+            if type(value) is not int:
+                raise _not_an_integer(value, name, f"entry {i}")
+        procs.append(_process_from_fields(dict(entry)))
     return procs
 
 

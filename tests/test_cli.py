@@ -8,17 +8,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcpnsched import (
     Policy,
+    PriorityPair,
     Process,
     StepLimitExceeded,
     Workload,
     build_net,
+    builtin_paper_workload,
+    compute_metrics,
+    oracle_schedule,
+    parse_workload,
+    result_from_processes,
     run,
     sched,
     serialize_workload,
     simulate,
+    trace_records,
 )
 from tcpnsched import cli
 
@@ -186,6 +195,64 @@ class TestRun:
         sn = build_net(w, Policy.FCFS)
         with pytest.raises(StepLimitExceeded, match=f"did not halt within {4 * n - 1} firings"):
             run(sn.net, sn.initial_state(), step_limit=4 * n - 1)
+
+
+@st.composite
+def workloads(draw) -> Workload:
+    n = draw(st.integers(0, 8))
+    times = st.one_of(st.integers(0, 30), st.integers(2**63, 2**64))
+    services = st.one_of(st.integers(1, 20), st.just(2**62))
+    procs = [
+        Process(pi=pi, it=draw(times), st=draw(services), pr=PriorityPair(draw(st.integers(0, 5)), 0))
+        for pi in draw(st.permutations(range(1, n + 1)))
+    ]
+    return Workload(tuple(procs), name="writer")
+
+
+class TestJsonWriter:
+    """``run --format json`` prints ``json.dumps(result_json_doc(result), indent=2)`` byte for byte."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(workloads())
+    def test_writer_is_json_dumps_on_drawn_workloads(self, w):
+        for policy in Policy:
+            for result in (
+                compute_metrics(simulate(w, policy), w, policy),
+                result_from_processes(oracle_schedule(w, policy), w, policy),
+            ):
+                assert cli.result_json_text(result) == json.dumps(cli.result_json_doc(result), indent=2)
+
+    @pytest.mark.parametrize("engine", ["cpn", "oracle"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '[{"pi": 1, "it": %d, "st": %d}]' % (2**1022, 2**1021)],
+        ids=["empty", "huge"],
+    )
+    def test_run_prints_json_dumps(self, capsys, tmp_path, engine, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        w = parse_workload(text)
+        for policy in Policy:
+            argv = ("run", "--workload", str(path), "--policy", policy.value, "--engine", engine)
+            code, out, err = invoke(capsys, *argv)
+            assert code == 0, err
+            if engine == "cpn":
+                result = compute_metrics(simulate(w, policy), w, policy)
+            else:
+                result = result_from_processes(oracle_schedule(w, policy), w, policy)
+            assert out == json.dumps(cli.result_json_doc(result), indent=2) + "\n"
+            if not w.processes:
+                assert '\n  "processes": [],\n' in out
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_trace_run_prints_json_dumps(self, capsys, policy):
+        code, out, err = invoke(capsys, "run", "--policy", policy.value, "--trace")
+        assert code == 0, err
+        w = builtin_paper_workload()
+        state = simulate(w, policy)
+        doc = cli.result_json_doc(compute_metrics(state, w, policy))
+        doc["trace"] = trace_records(state.trace)
+        assert out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestErrorPaths:

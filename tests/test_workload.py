@@ -230,6 +230,55 @@ class TestParseJson:
             parse_workload('{"pi": 1}', fmt="json")
 
 
+class TestLaterEntries:
+    """Errors in entries after the first, whose key order may already have passed the name check."""
+
+    VALID = '{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 4, "st": 2}, '
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"pi": 3, "it": "x", "st": 1}', "entry 2: field 'it' must be an integer, got \"x\""),
+            ('{"pi": 3, "it": "a", "st": "b"}', "entry 2: field 'it' must be an integer, got \"a\""),
+            ('{"pi": 3, "it": 0, "st": 1, "wt": 0}', "entry 2: unknown field 'wt'"),
+            ('{"pi": 3, "it": 0}', "entry 2: missing field 'st'"),
+            ('{"pi": 3, "it": true, "st": 1}', "entry 2: field 'it' must be an integer, got true"),
+            (
+                '{"pi": 3, "it": 0, "st": 1, "priority": false}',
+                "entry 2: field 'priority' must be an integer, got false",
+            ),
+            ('{"pi": 3, "it": 0, "st": 1.5}', "entry 2: field 'st' must be an integer, got 1.5"),
+            ('{"pi": null, "it": 0, "st": 1}', "entry 2: field 'pi' must be an integer, got null"),
+            ('{"pi": 3, "it": [0], "st": 1}', "entry 2: field 'it' must be an integer, got an array"),
+            ('{"pi": 3, "it": 0, "st": {"a": 1}}', "entry 2: field 'st' must be an integer, got an object"),
+            ("7", "entry 2: expected an object, got int"),
+        ],
+        ids=[
+            "seen-order-bad-value",
+            "first-bad-value-wins",
+            "unknown",
+            "missing-st",
+            "true",
+            "false-priority",
+            "float",
+            "null",
+            "array",
+            "object",
+            "non-object",
+        ],
+    )
+    def test_third_entry(self, entry, message):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(f"[{self.VALID}{entry}]", fmt="json")
+        assert str(info.value) == message
+
+    def test_duplicate_key_in_second_entry(self):
+        src = '[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 0, "st": 1, "st": 2}]'
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(src, fmt="json")
+        assert str(info.value) == "entry 1: duplicate field 'st'"
+
+
 class TestParseCsv:
     def test_table1(self, table1):
         src = "pi,it,st,priority\n" + "\n".join(
