@@ -140,7 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     w = _load_workload(args.workload)
 
     if args.engine == "cpn":
-        state = simulate(w, policy)
+        state = simulate(w, policy, trace=args.trace)
         result = compute_metrics(state, w, policy)
         trace = trace_records(state.trace) if args.trace else None
     else:
@@ -158,7 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _disagreement(w: Workload, policy: Policy) -> list[str]:
     """Run the engine and the oracle on ``w``; the divergences, empty if they agree."""
-    result = compute_metrics(simulate(w, policy), w, policy)
+    result = compute_metrics(simulate(w, policy, trace=False), w, policy)
     return diff_results(result, oracle_schedule(w, policy), oracle_policy=policy)
 
 

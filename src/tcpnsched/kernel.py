@@ -7,12 +7,12 @@ true on the input values. Firing the enabled transition of lowest rank takes
 five steps in this order: check the firing budget; run the action on the
 same mapping of input values its guard saw; check that its outputs rewrite
 exactly the consumed places; check that no output token is ready before the
-clock; then write the outputs into the marking and append one event to the
-trace. A consumed token leaves the marking, so the action owns the values of
-its consumed places: it may update them in place and return them in its
-outputs. It never changes a read place. When nothing is enabled, the clock
-jumps to the smallest token ready-time strictly ahead of it; if no token
-lies ahead, the run halts.
+clock; then write the outputs into the marking and, when the state keeps a
+trace, append one event to it. A consumed token leaves the marking, so the
+action owns the values of its consumed places: it may update them in place
+and return them in its outputs. It never changes a read place. When nothing
+is enabled, the clock jumps to the smallest token ready-time strictly ahead
+of it; if no token lies ahead, the run halts.
 
 Guards must be pure predicates over (input values, clock); all state change
 belongs in actions. Same-instant conflicts are resolved by static transition
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
@@ -42,16 +42,14 @@ class StepLimitExceeded(EngineError):
     """The run used up its firing budget without halting."""
 
 
-@dataclass(frozen=True, slots=True)
-class TimedToken:
+class TimedToken(NamedTuple):
     """A colored value that becomes available at ``ready_time``."""
 
     value: Any
     ready_time: int
 
 
-@dataclass(frozen=True, slots=True)
-class FiringEvent:
+class FiringEvent(NamedTuple):
     """One trace entry: which transition fired, when, and what moved."""
 
     transition: str
@@ -99,11 +97,15 @@ class Net:
 
 @dataclass
 class EngineState:
-    """Marking, clock and trace of one run. The clock never decreases."""
+    """Marking, clock and trace of one run. The clock never decreases.
+
+    ``trace`` is a list that each firing appends its event to, or None to
+    keep no trace, so that a run builds no event at all.
+    """
 
     marking: dict[str, TimedToken]
     clock: int = 0
-    trace: list[FiringEvent] = field(default_factory=list)
+    trace: list[FiringEvent] | None = field(default_factory=list)
 
 
 def advance_clock(net: Net, state: EngineState) -> int | None:
@@ -129,8 +131,9 @@ def steps(
     and yields it; when none is enabled, it advances the clock and yields
     None. The generator returns when no token lies ahead of the clock.
     Deterministic: identical inputs give identical traces. Arcs are
-    resolved once per call, so a step builds only the values mapping that
-    its guard and action share. A guard or action that raises an exception
+    resolved, and ``state.trace`` read, once per call, so a step builds only
+    the values mapping that its guard and action share, plus its event when
+    the state keeps a trace. A guard or action that raises an exception
     other than EngineError is reported as an EngineError naming the
     transition and the clock; an EngineError passes through unchanged.
 
@@ -141,7 +144,7 @@ def steps(
     if missing:
         raise EngineError(f"initial marking does not cover place {missing[0]!r}")
 
-    marking = state.marking
+    marking, trace = state.marking, state.trace
     arcs = [(t, t.consumed + t.reads, set(t.consumed)) for t in net.transitions]
     firings = 0
     while True:
@@ -190,7 +193,8 @@ def steps(
                     f"back in time ({token.ready_time} < {clock})"
                 )
             marking[name] = token
-        state.trace.append(FiringEvent(t.name, clock, detail))
+        if trace is not None:
+            trace.append(FiringEvent(t.name, clock, detail))
         firings += 1
         yield t
 
@@ -199,13 +203,14 @@ def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) ->
     """Exhaust ``steps`` on a copy of ``initial`` and return the final state.
 
     Each initial token value is shallow-copied once, so actions that update
-    their values in place leave ``initial`` untouched. Raises
-    StepLimitExceeded as ``steps`` does.
+    their values in place leave ``initial`` untouched. The final state
+    keeps a trace, starting from a copy of the initial one, only if
+    ``initial`` keeps one. Raises StepLimitExceeded as ``steps`` does.
     """
     state = EngineState(
         marking={p: TimedToken(copy.copy(t.value), t.ready_time) for p, t in initial.marking.items()},
         clock=initial.clock,
-        trace=list(initial.trace),
+        trace=None if initial.trace is None else list(initial.trace),
     )
     for _ in steps(net, state, step_limit):
         pass

@@ -41,7 +41,10 @@ later group of that ``st`` can reach the top, and the walk jumps to the next
 A dispatch computes at most one ratio per distinct service time plus one per
 group that ties or beats the running top, rather than one per ready process.
 Only the dispatched process carries a refreshed waiting time and priority;
-the records left in ReadyQueue keep the ones they had.
+the records left in ReadyQueue keep the ones they had. Dispatch stamps the
+waiting time, and under HRRN the priority too: under FCFS, SJF and PR the
+priority that Activate stamped is the one a refresh would give, since it
+does not depend on the clock.
 
 Same-instant conflicts resolve by rank: Activate < Execute < Dispatch < Idle,
 so a pending arrival is always queued before the machine picks its next job.
@@ -264,7 +267,9 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     def dispatch_action(v, clock):
         ready = v[READY_QUEUE]
         mx = hrrn_winner(ready, clock) if hrrn else len(ready) - 1
-        chosen = update_priority(policy, update_proc_wait(ready.pop(mx), clock))
+        chosen = update_proc_wait(ready.pop(mx), clock)
+        if hrrn:
+            chosen = update_priority(policy, chosen)
         v[RUNNING].append(chosen)
         outputs = {RUNNING: TimedToken(v[RUNNING], clock), READY_QUEUE: TimedToken(ready, clock)}
         detail = {"dispatched": chosen.pi, "wt": chosen.wt, "pr": [chosen.pr.major, chosen.pr.minor]}
@@ -315,8 +320,11 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
     return SchedulerNet(workload=w, net=net)
 
 
-def simulate(w: Workload, policy: Policy) -> EngineState:
+def simulate(w: Workload, policy: Policy, trace: bool = True) -> EngineState:
     """Build the net for ``(w, policy)`` and run it to completion.
+
+    The final state keeps the firing trace, or with ``trace=False`` none
+    (``None``), so that the run builds no trace event.
 
     The firing budget is 4n, the most firings a run of n processes takes:
     at most one Idle, Activate, Dispatch and Execute per process. A run
@@ -324,4 +332,7 @@ def simulate(w: Workload, policy: Policy) -> EngineState:
     the net.
     """
     sn = build_net(w, policy)
-    return run(sn.net, sn.initial_state(), step_limit=4 * len(w))
+    initial = sn.initial_state()
+    if not trace:
+        initial.trace = None
+    return run(sn.net, initial, step_limit=4 * len(w))

@@ -51,9 +51,8 @@ class PriorityPair(NamedTuple):
     minor: int
 
 
-@dataclass(frozen=True, slots=True)
-class Process:
-    """One job record.
+class Process(NamedTuple):
+    """One job record, immutable; ``_replace`` gives a changed copy.
 
     pi: process index (unique, >= 1)
     it: arrival time

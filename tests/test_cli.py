@@ -1,5 +1,4 @@
 import codecs
-import dataclasses
 import json
 import os
 import re
@@ -33,6 +32,11 @@ from tcpnsched import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
+
+
+def child_env() -> dict:
+    """The environment for a child Python that imports this checkout's package."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
 
 HRRN_EXPECTED = {
     "policy": "hrrn",
@@ -119,6 +123,29 @@ class TestRun:
             (16, "Dispatch", {"dispatched": 5, "wt": 7, "pr": [9, 0]}),
             (16, "Execute", {"executed": 5, "start": 16, "finish": 19}),
         ]
+
+    def test_no_trace_event_is_built_unless_asked(self, capsys, monkeypatch):
+        from tcpnsched import kernel
+
+        built = []
+        real = kernel.FiringEvent
+
+        def counting(*fields):
+            built.append(fields)
+            return real(*fields)
+
+        monkeypatch.setattr(kernel, "FiringEvent", counting)
+        for argv in (
+            ("run", "--format", "json"),
+            ("run", "--format", "table"),
+            ("compare",),
+            ("fuzz", "--seed", "1", "--count", "2"),
+        ):
+            code, _, _ = invoke(capsys, *argv)
+            assert code == 0 and built == [], argv
+        code, out, _ = invoke(capsys, "run", "--trace")
+        assert code == 0
+        assert [fields[0] for fields in built] == [r["transition"] for r in json.loads(out)["trace"]]
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_trace_activates_a_tie_by_index_then_idles_to_the_next_arrival(self, capsys, tmp_path, policy):
@@ -345,7 +372,7 @@ class TestErrorPaths:
         assert "--format" in capsys.readouterr().out
 
     def test_engine_error_exits_2(self, capsys, monkeypatch):
-        def runaway(w, policy):
+        def runaway(w, policy, trace=True):
             raise StepLimitExceeded(f"net 'scheduler-{policy.value}' did not halt within 0 firings")
 
         monkeypatch.setattr(cli, "simulate", runaway)
@@ -355,17 +382,27 @@ class TestErrorPaths:
             assert err.startswith("internal error:") and "did not halt" in err, (argv, err)
             assert out == ""
 
+    def test_python_dash_m_runs_the_cli(self):
+        for argv, code in ((("run",), 0), (("run", "--policy", "bogus"), 1)):
+            done = subprocess.run(
+                [sys.executable, "-m", "tcpnsched", *argv, "--workload", "paper-table1"],
+                capture_output=True,
+                env=child_env(),
+                timeout=60,
+            )
+            assert done.returncode == code, (argv, done.stderr)
+        assert done.stderr.startswith(b"error: unknown policy 'bogus'")
+
     def test_closed_output_pipe_exits_1_without_traceback(self, tmp_path):
         # Far more output than a pipe buffers, so the reader closes it early.
         burst = Workload(tuple(Process(pi=i, it=0, st=1 + i % 20) for i in range(1, 2001)))
         path = tmp_path / "burst.json"
         path.write_text(serialize_workload(burst), encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
         child = subprocess.Popen(
             [sys.executable, "-m", "tcpnsched.cli", "run", "--workload", str(path), "--trace"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(),
         )
         assert child.stdout.readline() == b"{\n"
         child.stdout.close()
@@ -402,7 +439,7 @@ class TestCompare:
 
         def skewed(w, policy):
             records = real(w, policy)
-            return [dataclasses.replace(records[0], es=records[0].es + 1)] + records[1:]
+            return [records[0]._replace(es=records[0].es + 1)] + records[1:]
 
         monkeypatch.setattr(cli, "oracle_schedule", skewed)
         code, out, _ = invoke(capsys, "compare", "--policy", "fcfs")
@@ -435,7 +472,7 @@ class TestFuzz:
         def skewed(w, policy):
             records = real(w, policy)
             if w.name == "fuzz-9" and records:
-                return [dataclasses.replace(records[0], wt=records[0].wt + 1)] + records[1:]
+                return [records[0]._replace(wt=records[0].wt + 1)] + records[1:]
             return records
 
         monkeypatch.setattr(cli, "oracle_schedule", skewed)

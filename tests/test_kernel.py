@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from helpers import new_tasks_order
+from helpers import make_corpus, new_tasks_order
 from tcpnsched import (
+    DEFAULT_STEP_LIMIT,
     EngineError,
     EngineState,
+    FiringEvent,
     Net,
     Policy,
     StepLimitExceeded,
@@ -13,6 +15,7 @@ from tcpnsched import (
     Transition,
     advance_clock,
     build_net,
+    builtin_paper_workload,
     run,
     steps,
     trace_records,
@@ -129,6 +132,12 @@ class TestFiring:
         assert state.clock == 0
         assert [(e.transition, e.time, e.detail) for e in state.trace] == [("inc", 0, {"count": 1})]
 
+    def test_token_and_event_fields_cannot_be_assigned(self):
+        for record in (TimedToken(0, 1), FiringEvent("inc", 0, {})):
+            for field in type(record)._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, 5)
+
     def test_action_must_rewrite_consumed_places(self):
         def wrong_action(v, clock):
             return {}, {}
@@ -232,6 +241,86 @@ class TestRun:
         with pytest.raises(EngineError) as info:
             run(counter_net(), EngineState(marking={}))
         assert str(info.value) == "initial marking does not cover place 'cell'"
+
+
+def stepped(net, state, step_limit=DEFAULT_STEP_LIMIT):
+    """What ``steps`` does with ``state``.
+
+    Returns ``(fired name or None, clock)`` for each step, and the
+    EngineError it raised as ``(type, message)``, or None.
+    """
+    seen = []
+    try:
+        for t in steps(net, state, step_limit):
+            seen.append((t and t.name, state.clock))
+    except EngineError as e:
+        return seen, (type(e), str(e))
+    return seen, None
+
+
+def assert_untraced_runs_the_same(net, initial, step_limit=DEFAULT_STEP_LIMIT):
+    """Run ``initial()`` with a list trace and with none; return the error both raised.
+
+    Both must take the same steps at the same clocks, end in the same
+    marking and clock, and raise the same error, and the list trace must
+    record every firing.
+    """
+    traced, untraced = initial(), initial()
+    untraced.trace = None
+    seen, error = stepped(net, traced, step_limit)
+    assert stepped(net, untraced, step_limit) == (seen, error)
+    assert untraced.trace is None
+    assert untraced.marking == traced.marking and untraced.clock == traced.clock
+    assert [(e.transition, e.time) for e in traced.trace] == [s for s in seen if s[0] is not None]
+    return error
+
+
+class TestWithoutTrace:
+    """A state whose trace is None runs exactly as one that keeps a list."""
+
+    def test_hand_built_nets(self):
+        def crash(v, clock):
+            if clock == 2:
+                raise ValueError("boom")
+            return {"cell": TimedToken(v["cell"] + 1, clock + 1)}, {}
+
+        t = Transition(name="crash", rank=0, consumed=("cell",), guard=lambda v, c: True, action=crash)
+        crashing = Net(name="crash", places=("cell",), transitions=(t,))
+
+        assert assert_untraced_runs_the_same(counter_net(limit=3), counter_state) is None
+        assert assert_untraced_runs_the_same(counter_net(limit=4, delay=3), lambda: counter_state(ready=5)) is None
+        assert assert_untraced_runs_the_same(counter_net(limit=float("inf"), delay=0), counter_state, 10) == (
+            StepLimitExceeded,
+            "net 'counter' did not halt within 10 firings",
+        )
+        assert assert_untraced_runs_the_same(crashing, counter_state) == (
+            EngineError,
+            "action of transition 'crash' failed at t=2: boom",
+        )
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_scheduler_net(self, policy):
+        table1 = builtin_paper_workload()
+        for w in [table1] + make_corpus(23, 20):
+            sn = build_net(w, policy)
+            assert assert_untraced_runs_the_same(sn.net, sn.initial_state, 4 * len(w)) is None, w.name
+        # A budget too small to finish: both runs stop at the same firing.
+        sn = build_net(table1, policy)
+        assert assert_untraced_runs_the_same(sn.net, sn.initial_state, 5) == (
+            StepLimitExceeded,
+            f"net 'scheduler-{policy.value}' did not halt within 5 firings",
+        )
+
+    def test_run_keeps_none_and_copies_a_list(self):
+        initial = counter_state()
+        initial.trace = None
+        final = run(counter_net(), initial)
+        assert final.trace is None and final.marking["cell"].value == 3
+        earlier = FiringEvent("before", 0, {})
+        initial.trace = [earlier]
+        final = run(counter_net(), initial)
+        assert final.trace is not initial.trace and initial.trace == [earlier]
+        assert [e.transition for e in final.trace] == ["before", "inc", "inc", "inc"]
 
 
 def guards_holding(net, state):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import random
 
@@ -141,7 +140,7 @@ def _shuffled(procs: list[Process], rng: random.Random, name: str) -> Workload:
     # any arrival group; the input order is shuffled too.
     pis = list(range(1, len(procs) + 1))
     rng.shuffle(pis)
-    procs = [dataclasses.replace(p, pi=pi) for p, pi in zip(procs, pis)]
+    procs = [p._replace(pi=pi) for p, pi in zip(procs, pis)]
     rng.shuffle(procs)
     return Workload(tuple(procs), name=name)
 
@@ -281,7 +280,7 @@ class TestDiff:
         bent = oracle_schedule(table1, Policy.HRRN)
         p = bent[2]
         value = PriorityPair(999, 0) if field == "pr" else getattr(p, field) + 1
-        bent[2] = dataclasses.replace(p, **{field: value})
+        bent[2] = p._replace(**{field: value})
         report = diff_results(result, bent)
         assert len(report) == 1
         assert f"pi={p.pi}" in report[0] and self.FIELD_WORDS[field] in report[0]

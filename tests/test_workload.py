@@ -124,6 +124,27 @@ class TestValidate:
         assert dataclasses.replace(table1, name="renamed").processes == table1.processes
 
 
+class TestProcessRecord:
+    def test_fields_cannot_be_assigned(self):
+        p = Process(1, 0, 1)
+        for field in Process._fields:
+            with pytest.raises(AttributeError):
+                setattr(p, field, 5)
+        assert p == Process(1, 0, 1)
+
+    def test_replace_leaves_the_original_unchanged(self):
+        p = Process(1, 2, 3, pr=PriorityPair(4, 0))
+        q = p._replace(wt=5, es=6)
+        assert p == Process(pi=1, it=2, st=3, wt=0, es=0, pr=PriorityPair(4, 0))
+        assert q == Process(pi=1, it=2, st=3, wt=5, es=6, pr=PriorityPair(4, 0))
+
+    def test_a_replaced_record_is_still_checked(self, table1):
+        bad = table1.processes[0]._replace(st=0)
+        with pytest.raises(WorkloadError) as info:
+            Workload((bad,) + table1.processes[1:])
+        assert str(info.value) == f"process {bad.pi}: service time must be >= 1"
+
+
 class TestParseJson:
     def test_table1(self, table1):
         w = parse_workload(TABLE1_JSON, fmt="json")
