@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from operator import add
 from pathlib import Path
 
 from .kernel import EngineError, trace_records
@@ -89,28 +91,86 @@ _PROCESS_JSON = """\
     }"""
 
 
+#: One entry of the ``trace`` array for each of the scheduler's transitions,
+#: laid out as ``json.dumps(doc, indent=2)`` lays out an object at depth 2.
+#: Each fills its detail values in the order the transition's action gives
+#: them; a list in a detail varies in length, so its items are joined into one ``%s``.
+_TRACE_JSON = {
+    "Activate": """\
+    {
+      "t": %d,
+      "transition": "Activate",
+      "detail": {
+        "activated": [
+          %s
+        ]
+      }
+    }""",
+    "Dispatch": """\
+    {
+      "t": %d,
+      "transition": "Dispatch",
+      "detail": {
+        "dispatched": %d,
+        "wt": %d,
+        "pr": [
+          %s
+        ]
+      }
+    }""",
+    "Execute": """\
+    {
+      "t": %d,
+      "transition": "Execute",
+      "detail": {
+        "executed": %d,
+        "start": %d,
+        "finish": %d
+      }
+    }""",
+    "Idle": """\
+    {
+      "t": %d,
+      "transition": "Idle",
+      "detail": {
+        "idle_until": %d
+      }
+    }""",
+}
+#: What separates the items of a list in a trace detail.
+_DETAIL_ITEM_JOIN = ",\n          "
+
+
+def _trace_entry(record: dict) -> str:
+    """One ``trace_records`` record as ``json.dumps(doc, indent=2)`` writes it in the trace array."""
+    args = [record["t"]]
+    for value in record["detail"].values():
+        args.append(_DETAIL_ITEM_JOIN.join(map(str, value)) if type(value) is list else value)
+    return _TRACE_JSON[record["transition"]] % tuple(args)
+
+
 def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     """``json.dumps(doc, indent=2)`` of ``result_json_doc(result)``, byte for byte.
 
-    A ``trace`` given is added to the document under ``"trace"``. The
-    ``processes`` array is written from ``_PROCESS_JSON`` and spliced into
-    the rest of the document, which ``json.dumps`` writes.
+    A ``trace`` given (``trace_records`` of a run) is added to the document
+    under ``"trace"``. ``json.dumps`` writes the document with both arrays
+    empty; the ``processes`` array is written column by column from
+    ``_PROCESS_JSON``, the trace from ``_TRACE_JSON``, and both are spliced in.
     """
-    doc = result_json_doc(result)
-    procs, doc["processes"] = doc["processes"], []
+    doc = result_json_doc(dataclasses.replace(result, finished=()))
     if trace is not None:
-        doc["trace"] = trace
+        doc["trace"] = []
     text = json.dumps(doc, indent=2)
-    if not procs:
-        return text
-    array = ",\n".join(
-        [
-            _PROCESS_JSON % (p["pi"], p["it"], p["st"], p["wt"], p["es"], p["finish"], p["turnaround"], *p["pr"])
-            for p in procs
-        ]
-    )
-    # A JSON string holds no raw newline, so only the top-level key matches.
-    return text.replace('\n  "processes": []', f'\n  "processes": [\n{array}\n  ]', 1)
+    # A JSON string holds no raw newline, so only the top-level keys match.
+    if trace:
+        entries = ",\n".join(map(_trace_entry, trace))
+        text = text.replace('\n  "trace": []', f'\n  "trace": [\n{entries}\n  ]', 1)
+    if result.finished:
+        pi, it, st, wt, es, pr = zip(*result.finished)
+        rows = zip(pi, it, st, wt, es, map(add, es, st), map(add, wt, st), *zip(*pr))
+        array = ",\n".join(map(_PROCESS_JSON.__mod__, rows))
+        text = text.replace('\n  "processes": []', f'\n  "processes": [\n{array}\n  ]', 1)
+    return text
 
 
 def _result_table(result: ScheduleResult) -> str:

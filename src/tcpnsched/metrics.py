@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import add, attrgetter, lt
 from typing import Sequence
 
 from .kernel import EngineError, EngineState
 from .sched import FINISHED
 from .workload import Policy, Process, Workload
+
+_pi, _it = attrgetter("pi"), attrgetter("it")
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,10 @@ def result_from_processes(
     turnaround = wt + st. Idle intervals are the maximal gaps between
     consecutive execution intervals within [lead_in, makespan].
     """
-    got, expected = Counter(p.pi for p in finished), Counter(p.pi for p in w.processes)
-    if got != expected:
+    # A Workload's indexes are unique, so equal lengths and equal index sets
+    # mean that each process finished exactly once.
+    if len(finished) != len(w.processes) or set(map(_pi, finished)) != set(map(_pi, w.processes)):
+        got, expected = Counter(map(_pi, finished)), Counter(map(_pi, w.processes))
         raise EngineError(
             f"finished set does not match the workload: {len(finished)} records for "
             f"{len(w.processes)} processes, first missing pi {min(expected - got, default='none')}, "
@@ -65,21 +71,21 @@ def result_from_processes(
             aggregates=None,
         )
 
-    lead_in = min(p.it for p in w.processes)
-    makespan = max(p.es + p.st for p in finished)
+    _, _, st, wt, es, _ = zip(*finished)
+    ends = list(map(add, es, st))
+    lead_in = min(map(_it, w.processes))
+    makespan = max(ends)
 
-    idle: list[tuple[int, int]] = []
-    cursor = lead_in
-    for start, end in sorted((p.es, p.es + p.st) for p in finished):
-        if start > cursor:
-            idle.append((cursor, start))
-        cursor = max(cursor, end)
+    # Runs in start order; the cursor before each run is the latest end so far.
+    starts, stops = zip(*sorted(zip(es, ends)))
+    cursors = list(accumulate(stops, max, initial=lead_in))
+    idle = list(compress(zip(cursors, starts), map(lt, cursors, starts)))
 
     n = len(finished)
-    total_service = sum(p.st for p in finished)
+    total_service, total_wait = sum(st), sum(wt)
     aggregates = Aggregates(
-        avg_waiting=sum(p.wt for p in finished) / n,
-        avg_turnaround=sum(p.wt + p.st for p in finished) / n,
+        avg_waiting=total_wait / n,
+        avg_turnaround=(total_wait + total_service) / n,
         utilization=total_service / (makespan - lead_in),
     )
     return ScheduleResult(

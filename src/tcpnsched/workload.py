@@ -9,7 +9,8 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, methodcaller
 from typing import Any, IO, Iterable, NamedTuple
 
 
@@ -75,7 +76,8 @@ class Process(NamedTuple):
 class Workload:
     """An ordered collection of processes; list order is preserved end-to-end.
 
-    Building one raises WorkloadError listing every invariant violation.
+    Building one raises WorkloadError listing the invariant violations: the
+    first ten in order, then a count of the rest.
     """
 
     processes: tuple[Process, ...]
@@ -85,32 +87,71 @@ class Workload:
         # Stored as a tuple, so that no one can change the processes once checked.
         procs = tuple(self.processes)
         object.__setattr__(self, "processes", procs)
-        violations: list[str] = []
-        seen: set[int] = set()
-        for p in procs:
-            where = f"process {p.pi}"
-            if p.pi < 1:
-                violations.append(f"{where}: index must be >= 1")
-            if p.pi in seen:
-                violations.append(f"duplicate index {p.pi}")
-            seen.add(p.pi)
-            if p.it < 0:
-                violations.append(f"{where}: negative arrival time {p.it}")
-            if p.st < 1:
-                violations.append(f"{where}: service time must be >= 1")
-            if p.wt != 0:
-                violations.append(f"{where}: fresh workload must have wt = 0")
-            if p.es != 0:
-                violations.append(f"{where}: fresh workload must have es = 0")
-            if p.pr.minor != 0:
-                violations.append(f"{where}: fresh workload must have minor priority 0")
-        if procs and max(p.it for p in procs) + sum(p.st for p in procs) >= _FINISH_LIMIT:
-            violations.append("latest possible finish max(it) + sum(st) must be below 2**1023")
-        if violations:
-            raise WorkloadError("; ".join(violations))
+        # One pass over the columns clears a valid workload; anything it
+        # doubts goes through _violations, which decides and words the report.
+        if procs and not _columns_valid(procs):
+            violations = _violations(procs)
+            if violations:
+                raise WorkloadError(_report(violations))
 
     def __len__(self) -> int:
         return len(self.processes)
+
+
+#: A WorkloadError lists at most this many violations and counts the rest.
+_REPORTED_VIOLATIONS = 10
+
+
+def _columns_valid(procs: tuple[Process, ...]) -> bool:
+    """True when no process breaks an invariant, decided column by column."""
+    pi, it, st, wt, es, pr = zip(*procs)
+    return (
+        min(pi) >= 1
+        and len(set(pi)) == len(pi)
+        and min(it) >= 0
+        and min(st) >= 1
+        and not any(wt)
+        and not any(es)
+        and not any(map(itemgetter(1), pr))
+        and max(it) + sum(st) < _FINISH_LIMIT
+    )
+
+
+def _violations(procs: tuple[Process, ...]) -> list[str]:
+    """Every invariant violation, process by process, in the order they are reported.
+
+    ``_columns_valid`` must reject every workload this finds a violation in:
+    a new invariant goes into both.
+    """
+    violations: list[str] = []
+    seen: set[int] = set()
+    for p in procs:
+        where = f"process {p.pi}"
+        if p.pi < 1:
+            violations.append(f"{where}: index must be >= 1")
+        if p.pi in seen:
+            violations.append(f"duplicate index {p.pi}")
+        seen.add(p.pi)
+        if p.it < 0:
+            violations.append(f"{where}: negative arrival time {p.it}")
+        if p.st < 1:
+            violations.append(f"{where}: service time must be >= 1")
+        if p.wt != 0:
+            violations.append(f"{where}: fresh workload must have wt = 0")
+        if p.es != 0:
+            violations.append(f"{where}: fresh workload must have es = 0")
+        if p.pr.minor != 0:
+            violations.append(f"{where}: fresh workload must have minor priority 0")
+    if procs and max(p.it for p in procs) + sum(p.st for p in procs) >= _FINISH_LIMIT:
+        violations.append("latest possible finish max(it) + sum(st) must be below 2**1023")
+    return violations
+
+
+def _report(violations: list[str]) -> str:
+    """The first violations joined by ``; ``, and a count of any left out."""
+    shown = "; ".join(violations[:_REPORTED_VIOLATIONS])
+    more = len(violations) - _REPORTED_VIOLATIONS
+    return f"{shown}; … and {more} more" if more > 0 else shown
 
 
 #: The built-in six-process case study selected with the ``paper-table1`` keyword.
@@ -181,6 +222,57 @@ def _process_from_fields(fields: dict[str, int]) -> Process:
     return Process(fields["pi"], fields["it"], fields["st"], pr=PriorityPair(fields.get("priority", 0), 0))
 
 
+def _check_entries(data: list) -> None:
+    """Raise the first error in entry order: a non-object, a bad field name or a non-integer value.
+
+    Returns only when every entry is valid, which ``_parse_json`` treats as a
+    disagreement with ``_columns``.
+    """
+    # Most files give every entry the same keys in the same order, so each
+    # order is checked once; a duplicate key never gets past this check.
+    checked: set[tuple[str, ...]] = set()
+    for i, entry in enumerate(data):
+        if not isinstance(entry, tuple):
+            raise WorkloadError(f"entry {i}: expected an object, got {type(entry).__name__}")
+        names = tuple(map(itemgetter(0), entry))
+        if names not in checked:
+            _check_names(names, f"entry {i}", "field")
+            checked.add(names)
+        for name, value in entry:
+            # bool is an int subclass, and true/false is a schema error;
+            # json.loads makes no other int subclass.
+            if type(value) is not int:
+                raise _not_an_integer(value, name, f"entry {i}")
+
+
+def _names_valid(names: tuple[str, ...]) -> bool:
+    """Whether ``_check_names`` accepts one entry's field names."""
+    try:
+        _check_names(names, "", "field")
+    except WorkloadError:
+        return False
+    return True
+
+
+def _columns(data: list) -> list[list[int]] | None:
+    """The pi, it, st and priority columns of the entries; None if any entry is invalid.
+
+    Each check runs over the whole array; ``_check_entries`` finds and words
+    the first error of an array this rejects.
+    """
+    if not set(map(type, data)) <= {tuple}:
+        return None
+    entries = list(map(dict, data))
+    # dict() keeps one value of a repeated key, so a repeat shortens its entry.
+    if sum(map(len, entries)) != sum(map(len, data)) or not all(map(_names_valid, set(map(tuple, entries)))):
+        return None
+    columns = [list(map(itemgetter(name), entries)) for name in _REQUIRED_FIELDS]
+    columns.append(list(map(methodcaller("get", "priority", 0), entries)))
+    if not set(map(type, chain.from_iterable(columns))) <= {int}:
+        return None
+    return columns
+
+
 def _parse_json(text: str) -> list[Process]:
     try:
         # Objects decode to tuples of (key, value) pairs, so that a repeated
@@ -200,24 +292,14 @@ def _parse_json(text: str) -> list[Process]:
         raise WorkloadError("invalid JSON: nested too deeply") from None
     if not isinstance(data, list):
         raise WorkloadError("workload JSON must be an array of process objects")
-    procs = []
-    # Most files give every entry the same keys in the same order, so each
-    # order is checked once; a duplicate key never gets past this check.
-    checked: set[tuple[str, ...]] = set()
-    for i, entry in enumerate(data):
-        if not isinstance(entry, tuple):
-            raise WorkloadError(f"entry {i}: expected an object, got {type(entry).__name__}")
-        names = tuple(map(itemgetter(0), entry))
-        if names not in checked:
-            _check_names(names, f"entry {i}", "field")
-            checked.add(names)
-        for name, value in entry:
-            # bool is an int subclass, and true/false is a schema error;
-            # json.loads makes no other int subclass.
-            if type(value) is not int:
-                raise _not_an_integer(value, name, f"entry {i}")
-        procs.append(_process_from_fields(dict(entry)))
-    return procs
+    columns = _columns(data)
+    if columns is None:
+        _check_entries(data)
+        raise AssertionError("the column checks rejected entries that _check_entries accepts")
+    pi, it, st, priority = columns
+    # wt/es are never read from input, so a parsed process starts with both at 0.
+    pairs = {major: PriorityPair(major, 0) for major in set(priority)}
+    return list(map(Process._make, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
 
 
 def _parse_csv(text: str) -> list[Process]:

@@ -249,6 +249,16 @@ class TestJsonWriter:
             ):
                 assert cli.result_json_text(result) == json.dumps(cli.result_json_doc(result), indent=2)
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(workloads())
+    def test_trace_writer_is_json_dumps_on_drawn_workloads(self, w):
+        for policy in Policy:
+            state = simulate(w, policy)
+            result, trace = compute_metrics(state, w, policy), trace_records(state.trace)
+            doc = cli.result_json_doc(result)
+            doc["trace"] = trace
+            assert cli.result_json_text(result, trace) == json.dumps(doc, indent=2)
+
     @pytest.mark.parametrize("engine", ["cpn", "oracle"])
     @pytest.mark.parametrize(
         "text",
@@ -334,6 +344,15 @@ class TestErrorPaths:
             for argv in (("run",), ("run", "--engine", "oracle"), ("compare",)):
                 code, out, err = invoke(capsys, *argv, "--workload", str(path))
                 assert (code, out, err) == (1, "", "error: process 1: service time must be >= 1\n"), (name, argv)
+
+    def test_invariant_report_is_bounded(self, capsys, tmp_path):
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps([{"pi": 1, "it": 0, "st": 0}] * 20_000))
+        code, out, err = invoke(capsys, "run", "--workload", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 1_000
+        assert err.startswith("error: process 1: service time must be >= 1; duplicate index 1; ")
+        assert err.endswith("; … and 39989 more\n")
 
     def test_step_limit_env_is_ignored(self, capsys, monkeypatch):
         # The budget is fixed at 4n; no environment variable reaches it.

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcpnsched import (
     EngineError,
@@ -83,6 +85,31 @@ class TestComputeMetrics:
             "finished set does not match the workload: 9999 records for 10000 processes, "
             "first missing pi 18, first extra pi none"
         )
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_columns_match_the_per_record_rule(self, data):
+        # Any start at or after arrival, overlapping runs included, in any order.
+        n = data.draw(st.integers(1, 8))
+        w = Workload(tuple(Process(pi, data.draw(st.integers(0, 30)), data.draw(st.integers(1, 9))) for pi in range(1, n + 1)))
+        finished = [
+            p._replace(es=p.it + data.draw(st.integers(0, 30)), wt=data.draw(st.integers(0, 40)))
+            for p in data.draw(st.permutations(w.processes))
+        ]
+        result = result_from_processes(finished, w, Policy.FCFS)
+        lead_in = min(p.it for p in w.processes)
+        makespan = max(p.es + p.st for p in finished)
+        idle = []
+        cursor = lead_in
+        for start, end in sorted((p.es, p.es + p.st) for p in finished):
+            if start > cursor:
+                idle.append((cursor, start))
+            cursor = max(cursor, end)
+        assert (result.finished, result.lead_in, result.makespan) == (tuple(finished), lead_in, makespan)
+        assert result.idle_intervals == tuple(idle)
+        assert result.aggregates.avg_waiting == sum(p.wt for p in finished) / n
+        assert result.aggregates.avg_turnaround == sum(p.wt + p.st for p in finished) / n
+        assert result.aggregates.utilization == sum(p.st for p in finished) / (makespan - lead_in)
 
     def test_empty_workload(self):
         w = Workload(())

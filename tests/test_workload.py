@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcpnsched import (
     Policy,
@@ -26,6 +28,34 @@ TABLE1_JSON = json.dumps(
         {"pi": 6, "it": 1, "st": 3, "priority": 4},
     ]
 )
+
+def reference_report(procs):
+    """The invariant report of ``procs`` by the rule written process by process; None if valid."""
+    violations = []
+    seen = set()
+    for p in procs:
+        where = f"process {p.pi}"
+        if p.pi < 1:
+            violations.append(f"{where}: index must be >= 1")
+        if p.pi in seen:
+            violations.append(f"duplicate index {p.pi}")
+        seen.add(p.pi)
+        if p.it < 0:
+            violations.append(f"{where}: negative arrival time {p.it}")
+        if p.st < 1:
+            violations.append(f"{where}: service time must be >= 1")
+        if p.wt != 0:
+            violations.append(f"{where}: fresh workload must have wt = 0")
+        if p.es != 0:
+            violations.append(f"{where}: fresh workload must have es = 0")
+        if p.pr.minor != 0:
+            violations.append(f"{where}: fresh workload must have minor priority 0")
+    if procs and max(p.it for p in procs) + sum(p.st for p in procs) >= 2**1023:
+        violations.append("latest possible finish max(it) + sum(st) must be below 2**1023")
+    if not violations:
+        return None
+    report = "; ".join(violations[:10])
+    return report + f"; … and {len(violations) - 10} more" if len(violations) > 10 else report
 
 
 class TestBuiltin:
@@ -106,6 +136,52 @@ class TestValidate:
             "process 1: service time must be >= 1",
             "duplicate index 1",
         ]
+
+    def test_report_lists_the_first_ten_violations(self):
+        with pytest.raises(WorkloadError) as info:
+            Workload(tuple(Process(pi, -1, 0) for pi in range(1, 7)))
+        assert str(info.value) == (
+            "process 1: negative arrival time -1; process 1: service time must be >= 1; "
+            "process 2: negative arrival time -1; process 2: service time must be >= 1; "
+            "process 3: negative arrival time -1; process 3: service time must be >= 1; "
+            "process 4: negative arrival time -1; process 4: service time must be >= 1; "
+            "process 5: negative arrival time -1; process 5: service time must be >= 1; "
+            "… and 2 more"
+        )
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Process,
+                pi=st.integers(-1, 3),
+                it=st.sampled_from([-1, 0, 5, 2**1022 - 1, 2**1022]),
+                st=st.sampled_from([0, 1, 2, 2**1022 - 2, 2**1022]),
+                wt=st.integers(0, 1),
+                es=st.integers(0, 1),
+                pr=st.builds(PriorityPair, st.integers(0, 2), st.integers(0, 1)),
+            ),
+            max_size=6,
+        )
+    )
+    # Each bound broken alone, where nothing else would send the workload to the report.
+    @example([Process(0, 0, 1)])
+    @example([Process(1, 0, 1), Process(1, 5, 2)])
+    @example([Process(1, -1, 1)])
+    @example([Process(1, 0, 0)])
+    @example([Process(1, 0, 1, wt=1)])
+    @example([Process(1, 0, 1, es=1)])
+    @example([Process(1, 0, 1, pr=PriorityPair(0, 1))])
+    @example([Process(1, 2**1022, 2**1022)])
+    @example([Process(1, 2**1022 - 1, 2**1022)])
+    def test_column_check_matches_the_per_process_rule(self, procs):
+        expected = reference_report(procs)
+        if expected is None:
+            assert Workload(procs).processes == tuple(procs)
+        else:
+            with pytest.raises(WorkloadError) as info:
+                Workload(procs)
+            assert str(info.value) == expected
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -293,6 +369,31 @@ class TestLaterEntries:
             parse_workload(f"[{self.VALID}{entry}]", fmt="json")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            (
+                '[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": "x", "st": 1}, {"pi": 3, "it": 0, "st": 1, "wt": 0}]',
+                "entry 1: field 'it' must be an integer, got \"x\"",
+            ),
+            (
+                '[{"pi": 1, "it": 0, "st": 1}, {"st": 2, "priority": 3, "pi": 2, "it": 4}, [1, 2]]',
+                "entry 2: expected an object, got list",
+            ),
+            (
+                "["
+                + ", ".join('{"pi": %d, "it": %d, "st": 1}' % (i + 1, i) for i in range(2499))
+                + ', {"pi": 2500, "it": 0, "st": true}]',
+                "entry 2499: field 'st' must be an integer, got true",
+            ),
+        ],
+        ids=["value-before-later-key", "non-object-after-other-order", "true-in-last-of-2500"],
+    )
+    def test_first_error_in_entry_order(self, src, message):
+        with pytest.raises(WorkloadError) as info:
+            parse_workload(src, fmt="json")
+        assert str(info.value) == message
+
     def test_duplicate_key_in_second_entry(self):
         src = '[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 0, "st": 1, "st": 2}]'
         with pytest.raises(WorkloadError) as info:
@@ -409,6 +510,23 @@ class TestRoundTrip:
             w = random_workload(random.Random(seed), name=f"rt-{seed}")
             again = parse_workload(serialize_workload(w, fmt), fmt=fmt)
             assert again.processes == w.processes, f"seed {seed} failed {fmt} round-trip"
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_any_key_order_and_optional_priority(self, data):
+        n = data.draw(st.integers(0, 12))
+        procs = tuple(
+            Process(pi, data.draw(st.integers(0, 2**64)), data.draw(st.integers(1, 50)), pr=PriorityPair(data.draw(st.integers(0, 3)), 0))
+            for pi in data.draw(st.permutations(range(1, n + 1)))
+        )
+        entries = []
+        for p in procs:
+            fields = {"pi": p.pi, "it": p.it, "st": p.st}
+            if p.pr.major or data.draw(st.booleans()):
+                fields["priority"] = p.pr.major
+            order = data.draw(st.permutations(sorted(fields)))
+            entries.append({name: fields[name] for name in order})
+        assert parse_workload(json.dumps(entries), fmt="json").processes == procs
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_empty_round_trip(self, fmt):
