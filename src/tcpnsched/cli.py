@@ -7,7 +7,7 @@ import dataclasses
 import json
 import os
 import sys
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 
 from .kernel import EngineError, trace_records
@@ -91,71 +91,28 @@ _PROCESS_JSON = """\
     }"""
 
 
-#: One entry of the ``trace`` array for each of the scheduler's transitions,
-#: laid out as ``json.dumps(doc, indent=2)`` lays out an object at depth 2.
-#: Each fills its detail values in the order the transition's action gives
-#: them; a list in a detail varies in length, so its items are joined into one ``%s``.
-_TRACE_JSON = {
-    "Activate": """\
-    {
-      "t": %d,
-      "transition": "Activate",
-      "detail": {
-        "activated": [
-          %s
-        ]
-      }
-    }""",
-    "Dispatch": """\
-    {
-      "t": %d,
-      "transition": "Dispatch",
-      "detail": {
-        "dispatched": %d,
-        "wt": %d,
-        "pr": [
-          %s
-        ]
-      }
-    }""",
-    "Execute": """\
-    {
-      "t": %d,
-      "transition": "Execute",
-      "detail": {
-        "executed": %d,
-        "start": %d,
-        "finish": %d
-      }
-    }""",
-    "Idle": """\
-    {
-      "t": %d,
-      "transition": "Idle",
-      "detail": {
-        "idle_until": %d
-      }
-    }""",
-}
-#: What separates the items of a list in a trace detail.
-_DETAIL_ITEM_JOIN = ",\n          "
+def _trace_layout(shape: tuple) -> str:
+    """The ``%``-template of a trace entry of this shape: a transition name, then its detail keys.
 
-
-def _trace_entry(record: dict) -> str:
-    """One ``trace_records`` record as ``json.dumps(doc, indent=2)`` writes it in the trace array."""
-    args = [record["t"]]
-    for value in record["detail"].values():
-        args.append(_DETAIL_ITEM_JOIN.join(map(str, value)) if type(value) is list else value)
-    return _TRACE_JSON[record["transition"]] % tuple(args)
+    ``json.dumps`` lays the entry out with a 0 for ``t`` and for each detail
+    value, at depth 2 of the document, and each 0 then becomes a ``%s``.
+    """
+    transition, *keys = shape
+    entry = json.dumps({"t": 0, "transition": transition, "detail": dict.fromkeys(keys, 0)}, indent=2)
+    # No key or string in JSON text holds a raw newline, so only a 0 value ends a line in ": 0".
+    entry = entry.replace("%", "%%").replace(": 0,\n", ": %s,\n").replace(": 0\n", ": %s\n")
+    return "    " + entry.replace("\n", "\n    ")
 
 
 def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     """``json.dumps(doc, indent=2)`` of ``result_json_doc(result)``, byte for byte.
 
     A ``trace`` given (``trace_records`` of a run) is added to the document
-    under ``"trace"``. ``json.dumps`` writes the document with both arrays
-    empty; the ``processes`` array is written column by column from
-    ``_PROCESS_JSON``, the trace from ``_TRACE_JSON``, and both are spliced in.
+    under ``"trace"``; a trace value other than an int, or a list of ints in a
+    detail, raises TypeError. ``json.dumps`` writes the document with both
+    arrays empty; the ``processes`` array is written column by column from
+    ``_PROCESS_JSON``, each trace entry from the layout of its shape, and both
+    are spliced in.
     """
     doc = result_json_doc(dataclasses.replace(result, finished=()))
     if trace is not None:
@@ -163,8 +120,26 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     text = json.dumps(doc, indent=2)
     # A JSON string holds no raw newline, so only the top-level keys match.
     if trace:
-        entries = ",\n".join(map(_trace_entry, trace))
-        text = text.replace('\n  "trace": []', f'\n  "trace": [\n{entries}\n  ]', 1)
+        layouts: dict[tuple, str] = {}
+        entries = []
+        for t, transition, detail in map(itemgetter("t", "transition", "detail"), trace):
+            shape = (transition, *detail)
+            layout = layouts.get(shape) or layouts.setdefault(shape, _trace_layout(shape))
+            if type(t) is not int:
+                raise TypeError(f"trace record of {transition!r}: 't' is {t!r:.40}, not an integer")
+            values = [t]
+            for value in detail.values():
+                if type(value) is not int:
+                    if type(value) is not list or not set(map(type, value)) <= {int}:
+                        key = next(k for k, v in detail.items() if v is value)
+                        where = f"trace record of {transition!r}: {key!r} is {value!r:.40}"
+                        raise TypeError(f"{where}, not an integer or a list of integers")
+                    # json.dumps lays out a list in a detail at depth 4.
+                    items = ",\n          ".join(map(int.__repr__, value))
+                    value = f"[\n          {items}\n        ]" if value else "[]"
+                values.append(value)
+            entries.append(layout % tuple(values))
+        text = text.replace('\n  "trace": []', '\n  "trace": [\n' + ",\n".join(entries) + "\n  ]", 1)
     if result.finished:
         pi, it, st, wt, es, pr = zip(*result.finished)
         rows = zip(pi, it, st, wt, es, map(add, es, st), map(add, wt, st), *zip(*pr))
@@ -328,7 +303,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except BrokenPipeError:
         # Point stdout at the null device so the flush at exit cannot fail (Python docs, SIGPIPE).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: output closed before it was all written", file=sys.stderr)
         return EXIT_INVALID
 

@@ -217,9 +217,10 @@ def _check_names(names: Iterable[str], where: str, noun: str) -> None:
             raise WorkloadError(f"{where}: missing {noun} {name!r}")
 
 
-def _process_from_fields(fields: dict[str, int]) -> Process:
-    # wt/es are never read from input, so a parsed process starts with both at 0.
-    return Process(fields["pi"], fields["it"], fields["st"], pr=PriorityPair(fields.get("priority", 0), 0))
+def _processes(pi: list[int], it: list[int], st: list[int], priority: list[int]) -> list[Process]:
+    """Parsed processes from their columns; wt/es are never read from input, so both start at 0."""
+    pairs = {major: PriorityPair(major, 0) for major in set(priority)}
+    return list(map(Process._make, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
 
 
 def _check_entries(data: list) -> None:
@@ -296,10 +297,7 @@ def _parse_json(text: str) -> list[Process]:
     if columns is None:
         _check_entries(data)
         raise AssertionError("the column checks rejected entries that _check_entries accepts")
-    pi, it, st, priority = columns
-    # wt/es are never read from input, so a parsed process starts with both at 0.
-    pairs = {major: PriorityPair(major, 0) for major in set(priority)}
-    return list(map(Process._make, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
+    return _processes(*columns)
 
 
 def _parse_csv(text: str) -> list[Process]:
@@ -314,30 +312,30 @@ def _parse_csv(text: str) -> list[Process]:
         raise WorkloadError("line 1: missing CSV header 'pi,it,st,priority'")
     header = [h.strip() for h in rows[0]]
     _check_names(header, "line 1", "column")
-    procs = []
+    pi, it, st, priority = columns = [], [], [], []
+    by_name = dict(zip(_JSON_FIELDS, columns))
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
             raise WorkloadError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
         where = f"line {lineno}"
-        fields: dict[str, int] = {}
         for name, cell in zip(header, row):
             cell = cell.strip()
             if name == "priority" and cell == "":
-                continue
+                cell = "0"
             if not _CSV_INT.fullmatch(cell):
                 raise WorkloadError(f"{where}: field {name!r} must be an integer, got {_shown(repr(cell))}")
             try:
-                fields[name] = int(cell)
+                by_name[name].append(int(cell))
             except ValueError:
                 # Well-formed, so int() refused it for Python's digit cap.
                 raise WorkloadError(
                     f"{where}: field {name!r} has {len(cell.lstrip('+-'))} digits, "
                     f"more than the limit of {sys.get_int_max_str_digits()}"
                 ) from None
-        procs.append(_process_from_fields(fields))
-    return procs
+    # A missing priority column, like an empty priority cell, means priority 0.
+    return _processes(pi, it, st, priority if "priority" in header else [0] * len(pi))
 
 
 def parse_workload(source: bytes | str | IO, fmt: str = "json", name: str = "") -> Workload:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 
 from tcpnsched import (
     EngineState,
@@ -137,3 +139,39 @@ def assert_schedule_invariants(w: Workload, policy: Policy, state: EngineState) 
     times = [e.time for e in state.trace]
     assert times == sorted(times), "trace firing times must be nondecreasing"
     return result
+
+
+def odd_trace_records() -> list[dict]:
+    """Trace records of shapes the scheduler net never makes, for the trace writer.
+
+    They hold a transition name outside the net's four, a name and keys with
+    ``"``, ``%`` and non-ASCII characters, an empty detail, an empty list,
+    negative and 40-digit integers, and two key sets under one name.
+    """
+    return [
+        {"t": 0, "transition": "Fork", "detail": {"a": 1}},
+        {"t": 3, "transition": 'Wait "%s" %d %% \u00fc\u4e2d', "detail": {'50% "done" \u00e9': -7, "%(x)s": [1]}},
+        {"t": 3, "transition": "Tick", "detail": {}},
+        {"t": -1, "transition": "Fork", "detail": {"b": [], "a": 10**40}},
+        {"t": 10**40, "transition": "Join", "detail": {"ids": [-(10**39), 0, 2**64]}},
+        {"t": 12, "transition": "Fork", "detail": {"a": -(10**39)}},
+    ]
+
+
+def run_on_closed_pipe(main) -> tuple[int, int, int]:
+    """Call ``main(["run"])`` with stdout on a pipe whose reader is closed.
+
+    Returns the exit code and the number of open descriptors before and
+    after the call, as ``/proc/self/fd`` lists them.
+    """
+    reader, writer = os.pipe()
+    os.close(reader)
+    with open(writer, "w", encoding="utf-8") as out:
+        before = len(os.listdir("/proc/self/fd"))
+        saved, sys.stdout = sys.stdout, out
+        try:
+            code = main(["run"])
+        finally:
+            sys.stdout = saved
+        after = len(os.listdir("/proc/self/fd"))
+    return code, before, after

@@ -30,6 +30,8 @@ from tcpnsched import (
 )
 from tcpnsched import cli
 
+from helpers import odd_trace_records, run_on_closed_pipe
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
 
@@ -259,6 +261,28 @@ class TestJsonWriter:
             doc["trace"] = trace
             assert cli.result_json_text(result, trace) == json.dumps(doc, indent=2)
 
+    def test_trace_writer_is_json_dumps_on_shapes_the_net_never_makes(self, table1):
+        result = compute_metrics(simulate(table1, Policy.SJF), table1, Policy.SJF)
+        trace = odd_trace_records()
+        doc = cli.result_json_doc(result)
+        doc["trace"] = trace
+        assert cli.result_json_text(result, trace) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            ({"t": 0, "transition": "Fork", "detail": {"a": 1, "k": True}}, "k"),
+            ({"t": 0, "transition": "Fork", "detail": {"k": "7"}}, "k"),
+            ({"t": 0, "transition": "Fork", "detail": {"k": [1, False]}}, "k"),
+            ({"t": True, "transition": "Fork", "detail": {}}, "t"),
+        ],
+        ids=["bool", "str", "bool-in-list", "bool-t"],
+    )
+    def test_trace_writer_rejects_values_it_would_write_wrongly(self, table1, record, key):
+        result = compute_metrics(simulate(table1, Policy.SJF), table1, Policy.SJF)
+        with pytest.raises(TypeError, match=f"trace record of 'Fork': '{key}' is "):
+            cli.result_json_text(result, [{"t": 1, "transition": "Idle", "detail": {"idle_until": 2}}, record])
+
     @pytest.mark.parametrize("engine", ["cpn", "oracle"])
     @pytest.mark.parametrize(
         "text",
@@ -430,6 +454,13 @@ class TestErrorPaths:
         assert child.wait(timeout=60) == 1
         assert "Traceback" not in err and "Exception ignored" not in err, err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+    def test_closed_output_pipe_leaves_no_descriptor_open(self, capsys):
+        for _ in range(3):
+            code, before, after = run_on_closed_pipe(cli.main)
+            assert (code, after) == (1, before)
+        assert capsys.readouterr().err == "error: output closed before it was all written\n" * 3
 
     def test_readme_names_every_cli_option(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # so no help line wraps inside a flag

@@ -1,0 +1,240 @@
+"""Mutants the tests must kill, kept as a table so that any change can re-run them.
+
+Each row names a module of the package, an exact fragment of its source, the
+replacement that makes the mutant, and a check that takes a module. The
+harness builds the mutant from the patched source as a fresh module, in
+process, with ``__package__ = "tcpnsched"``: its relative imports reach the
+real package, and the real package stays untouched. It asserts that the
+fragment occurs exactly once, so a refactor that moves the code breaks the
+row rather than making it vacuous, that the check passes on the real module,
+and that it fails on the mutant.
+
+Known equivalent mutants are not rows. One is ``insort_left`` for ``insort``
+in Activate: ``pi`` ends both sort keys, so no two records ever tie.
+"""
+
+import json
+import os
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from tcpnsched import (
+    Policy,
+    PriorityPair,
+    Process,
+    Workload,
+    build_net,
+    builtin_paper_workload,
+    cli,
+    compute_metrics,
+    diff_results,
+    kernel,
+    oracle,
+    simulate,
+    trace_records,
+    workload,
+)
+
+from helpers import odd_trace_records, run_on_closed_pipe
+
+
+def _results():
+    """The result and the trace records of paper-table1 under each policy."""
+    table1 = builtin_paper_workload()
+    for policy in Policy:
+        state = simulate(table1, policy)
+        yield compute_metrics(state, table1, policy), trace_records(state.trace)
+
+
+def processes_are_json_dumps(cli_module) -> None:
+    for result, _ in _results():
+        assert cli_module.result_json_text(result) == json.dumps(cli_module.result_json_doc(result), indent=2)
+
+
+def trace_is_json_dumps(cli_module) -> None:
+    for result, trace in _results():
+        for records in (trace, odd_trace_records()):
+            doc = cli_module.result_json_doc(result)
+            doc["trace"] = records
+            assert cli_module.result_json_text(result, records) == json.dumps(doc, indent=2)
+
+
+def _report(workload_module, *rows) -> str:
+    """The WorkloadError message a workload of these ``(pi, it, st)`` rows raises; empty if none."""
+    try:
+        workload_module.Workload(tuple(workload_module.Process(*row) for row in rows))
+    except workload_module.WorkloadError as e:
+        return str(e)
+    return ""
+
+
+def negative_arrival_is_rejected(workload_module) -> None:
+    assert _report(workload_module, (1, 0, 1), (2, -1, 1)) == "process 2: negative arrival time -1"
+
+
+def duplicate_index_is_rejected(workload_module) -> None:
+    assert _report(workload_module, (1, 0, 1), (1, 2, 1)) == "duplicate index 1"
+
+
+def closed_pipe_leaves_no_descriptor_open(cli_module) -> None:
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to count descriptors")
+    code, before, after = run_on_closed_pipe(cli_module.main)
+    assert (code, after) == (1, before)
+
+
+#: Small tie-heavy cases, ``(policy, [(pi, it, st, priority), ...])``, on which
+#: an oracle that walks its ready set wrongly parts from the engine.
+TIES = [
+    (Policy.HRRN, [(1, 0, 1, 0), (2, 1, 101, 0), (3, 0, 101, 0)]),
+    (Policy.HRRN, [(1, 0, 1, 0), (2, 1, 1, 0), (3, 0, 101, 0)]),
+    (Policy.SJF, [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 1, 0)]),
+    (Policy.PR, [(1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 1)]),
+]
+
+
+def oracle_agrees_on_ties(oracle_module) -> None:
+    for policy, rows in TIES:
+        w = Workload(tuple(Process(pi, it, st, pr=PriorityPair(prio, 0)) for pi, it, st, prio in rows))
+        result = compute_metrics(simulate(w, policy), w, policy)
+        assert diff_results(result, oracle_module.oracle_schedule(w, policy)) == [], (policy, rows)
+
+
+def model_errors_keep_their_cause(kernel_module) -> None:
+    """A guard's or an action's exception is an EngineError naming the transition; an EngineError passes."""
+    k = kernel_module
+    for role in ("guard", "action"):
+        for raised in (ValueError("boom"), k.EngineError("own words")):
+
+            def crash(values, clock, raised=raised):
+                raise raised
+
+            guard, action = (crash, None) if role == "guard" else (lambda values, clock: True, crash)
+            t = k.Transition(name="bad", rank=0, consumed=("cell",), guard=guard, action=action)
+            error = None
+            try:
+                k.run(k.Net("broken", ("cell",), (t,)), k.EngineState(marking={"cell": k.TimedToken(0, 2)}))
+            except Exception as e:
+                error = e
+            if isinstance(raised, k.EngineError):
+                assert error is raised, role
+            else:
+                assert type(error) is k.EngineError and error.__cause__ is raised, role
+                assert str(error) == f"{role} of transition 'bad' failed at t=2: boom"
+
+
+def clock_moves_through_the_module_hook(kernel_module) -> None:
+    # perfbench/layers.py counts clock advances by rebinding kernel.advance_clock.
+    real, moved = kernel_module.advance_clock, []
+
+    def counting(net, state):
+        moved.append(real(net, state))
+        return moved[-1]
+
+    sn = build_net(builtin_paper_workload(), Policy.FCFS)
+    kernel_module.advance_clock = counting
+    try:
+        nones = sum(t is None for t in kernel_module.steps(sn.net, sn.initial_state()))
+    finally:
+        kernel_module.advance_clock = real
+    assert nones > 0 and [m is None for m in moved] == [False] * nones + [True]
+
+
+MUTANTS = [
+    # (id, module, fragment, replacement, check)
+    ("process-layout-space", cli, '"wt": %d,', '"wt":  %d,', processes_are_json_dumps),
+    (
+        "finish-turnaround-swapped",
+        cli,
+        "map(add, es, st), map(add, wt, st)",
+        "map(add, wt, st), map(add, es, st)",
+        processes_are_json_dumps,
+    ),
+    ("trace-item-separator", cli, r'",\n          ".join', r'",\n         ".join', trace_is_json_dumps),
+    ("trace-empty-list-bracketed", cli, ' if value else "[]"', "", trace_is_json_dumps),
+    ("arrival-floor-dropped", workload, "        and min(it) >= 0\n", "", negative_arrival_is_rejected),
+    (
+        "duplicate-check-dropped",
+        workload,
+        "        and len(set(pi)) == len(pi)\n",
+        "",
+        duplicate_index_is_rejected,
+    ),
+    ("devnull-left-open", cli, "        os.close(devnull)\n", "", closed_pipe_leaves_no_descriptor_open),
+    (
+        "hrrn-head-group-only",
+        oracle,
+        "enumerate(ready[st])",
+        "enumerate(list(ready[st])[:1])",
+        oracle_agrees_on_ties,
+    ),
+    (
+        "hrrn-first-top-deque-only",
+        oracle,
+        "                pick = (heap[0][0], st, k)\n",
+        "                pick = (heap[0][0], st, k)\n        break\n",
+        oracle_agrees_on_ties,
+    ),
+    ("heap-pop-first", oracle, "heapq.heappop(ready)", "ready.pop(0)", oracle_agrees_on_ties),
+    (
+        "guard-engine-error-wrapped",
+        kernel,
+        "                except EngineError:\n                    raise\n",
+        "",
+        model_errors_keep_their_cause,
+    ),
+    (
+        "action-engine-error-wrapped",
+        kernel,
+        "        except EngineError:\n            raise\n",
+        "",
+        model_errors_keep_their_cause,
+    ),
+    (
+        "guard-cause-dropped",
+        kernel,
+        'guard of transition {t.name!r} failed at t={clock}: {e}") from e',
+        'guard of transition {t.name!r} failed at t={clock}: {e}")',
+        model_errors_keep_their_cause,
+    ),
+    (
+        "action-cause-dropped",
+        kernel,
+        'action of transition {t.name!r} failed at t={clock}: {e}") from e',
+        'action of transition {t.name!r} failed at t={clock}: {e}")',
+        model_errors_keep_their_cause,
+    ),
+    (
+        "advance-clock-bound-at-definition",
+        kernel,
+        "step_limit: int = DEFAULT_STEP_LIMIT\n)",
+        "step_limit: int = DEFAULT_STEP_LIMIT, advance_clock=advance_clock\n)",
+        clock_moves_through_the_module_hook,
+    ),
+]
+
+
+def build_mutant(module: types.ModuleType, fragment: str, replacement: str, monkeypatch) -> types.ModuleType:
+    """``module`` rebuilt from its source with ``fragment`` replaced, as a fresh module."""
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert source.count(fragment) == 1, f"{fragment!r} must occur exactly once in {module.__name__}"
+    mutant = types.ModuleType(f"{module.__name__}_mutant")
+    mutant.__package__ = "tcpnsched"
+    mutant.__file__ = module.__file__
+    # dataclasses looks a class's module up in sys.modules.
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(fragment, replacement), module.__file__, "exec"), mutant.__dict__)
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "module, fragment, replacement, check", [row[1:] for row in MUTANTS], ids=[row[0] for row in MUTANTS]
+)
+def test_mutant_dies(module, fragment, replacement, check, monkeypatch):
+    mutant = build_mutant(module, fragment, replacement, monkeypatch)
+    check(module)
+    with pytest.raises(AssertionError):
+        check(mutant)
