@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from operator import add, itemgetter
 from pathlib import Path
@@ -16,6 +17,8 @@ from .oracle import diff_results, oracle_schedule, random_workload
 from .sched import simulate
 from .workload import (
     Policy,
+    PriorityPair,
+    Process,
     Workload,
     WorkloadError,
     builtin_paper_workload,
@@ -40,6 +43,24 @@ def _load_workload(source: str) -> Workload:
     return parse_workload(data, fmt=fmt, name=path.stem)
 
 
+def _process_entry(p: Process) -> dict:
+    """The document's entry for one finished process.
+
+    Called on a ``Process`` of ``_Column``s, it gives the values of every
+    entry at once, so a value may combine fields only with ``+``.
+    """
+    return {
+        "pi": p.pi,
+        "it": p.it,
+        "st": p.st,
+        "wt": p.wt,
+        "es": p.es,
+        "finish": p.es + p.st,
+        "turnaround": p.wt + p.st,
+        "pr": [p.pr.major, p.pr.minor],
+    }
+
+
 def result_json_doc(result: ScheduleResult) -> dict:
     """The fixed-key-order JSON document for a schedule result."""
     agg = result.aggregates
@@ -49,19 +70,7 @@ def result_json_doc(result: ScheduleResult) -> dict:
         "lead_in": result.lead_in,
         "total_idle": result.total_idle,
         "idle": [[s, e] for s, e in result.idle_intervals],
-        "processes": [
-            {
-                "pi": p.pi,
-                "it": p.it,
-                "st": p.st,
-                "wt": p.wt,
-                "es": p.es,
-                "finish": p.es + p.st,
-                "turnaround": p.wt + p.st,
-                "pr": [p.pr.major, p.pr.minor],
-            }
-            for p in result.finished
-        ],
+        "processes": list(map(_process_entry, result.finished)),
         "aggregates": None
         if agg is None
         else {
@@ -73,35 +82,32 @@ def result_json_doc(result: ScheduleResult) -> dict:
     }
 
 
-#: One entry of the ``processes`` array, laid out as ``json.dumps(doc, indent=2)``
-#: lays out an object at depth 2.
-_PROCESS_JSON = """\
-    {
-      "pi": %d,
-      "it": %d,
-      "st": %d,
-      "wt": %d,
-      "es": %d,
-      "finish": %d,
-      "turnaround": %d,
-      "pr": [
-        %d,
-        %d
-      ]
-    }"""
+#: A 0 that is a whole value in ``json.dumps(..., indent=2)`` text: an array
+#: item alone on its line, or an object's value after its key. No key or
+#: string holds a raw newline, so no other 0 ends a line this way.
+_ZERO_VALUE = re.compile(r"(^ *|: )0(?=,?$)", re.MULTILINE)
 
 
-def _trace_layout(shape: tuple) -> str:
-    """The ``%``-template of a trace entry of this shape: a transition name, then its detail keys.
+def _layout(sample, indent: str) -> str:
+    """The ``%``-layout of ``sample``, a JSON value whose numbers are all 0.
 
-    ``json.dumps`` lays the entry out with a 0 for ``t`` and for each detail
-    value, at depth 2 of the document, and each 0 then becomes a ``%s``.
+    It is ``json.dumps(sample, indent=2)`` with each 0 made a ``%s``, and with
+    ``indent`` added to each line after the first, as deep as the value lies
+    in the document.
     """
-    transition, *keys = shape
-    entry = json.dumps({"t": 0, "transition": transition, "detail": dict.fromkeys(keys, 0)}, indent=2)
-    # No key or string in JSON text holds a raw newline, so only a 0 value ends a line in ": 0".
-    entry = entry.replace("%", "%%").replace(": 0,\n", ": %s,\n").replace(": 0\n", ": %s\n")
-    return "    " + entry.replace("\n", "\n    ")
+    text = _ZERO_VALUE.sub(r"\1%s", json.dumps(sample, indent=2).replace("%", "%%"))
+    return text.replace("\n", "\n" + indent)
+
+
+#: One entry of the ``processes`` array, at depth 2.
+_PROCESS_LAYOUT = _layout(_process_entry(Process(0, 0, 0)), "    ")
+
+
+class _Column(tuple):
+    """One field of many records, in order; ``+`` adds two columns item by item."""
+
+    def __add__(self, other: tuple) -> "_Column":
+        return _Column(map(add, self, other))
 
 
 def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
@@ -110,9 +116,10 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     A ``trace`` given (``trace_records`` of a run) is added to the document
     under ``"trace"``; a trace value other than an int, or a list of ints in a
     detail, raises TypeError. ``json.dumps`` writes the document with both
-    arrays empty; the ``processes`` array is written column by column from
-    ``_PROCESS_JSON``, each trace entry from the layout of its shape, and both
-    are spliced in.
+    arrays empty. Each entry of either is written from a ``_layout`` of its
+    keys, each list in a trace detail from that of its length, and both
+    arrays are spliced in. The ``processes`` values come from one
+    ``_process_entry`` call over the columns of the finished records.
     """
     doc = result_json_doc(dataclasses.replace(result, finished=()))
     if trace is not None:
@@ -121,30 +128,35 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     # A JSON string holds no raw newline, so only the top-level keys match.
     if trace:
         layouts: dict[tuple, str] = {}
+        lists: dict[int, str] = {}
         entries = []
         for t, transition, detail in map(itemgetter("t", "transition", "detail"), trace):
-            shape = (transition, *detail)
-            layout = layouts.get(shape) or layouts.setdefault(shape, _trace_layout(shape))
             if type(t) is not int:
                 raise TypeError(f"trace record of {transition!r}: 't' is {t!r:.40}, not an integer")
             values = [t]
-            for value in detail.values():
+            for key, value in detail.items():
                 if type(value) is not int:
                     if type(value) is not list or not set(map(type, value)) <= {int}:
-                        key = next(k for k, v in detail.items() if v is value)
                         where = f"trace record of {transition!r}: {key!r} is {value!r:.40}"
                         raise TypeError(f"{where}, not an integer or a list of integers")
-                    # json.dumps lays out a list in a detail at depth 4.
-                    items = ",\n          ".join(map(int.__repr__, value))
-                    value = f"[\n          {items}\n        ]" if value else "[]"
+                    # A list in a detail lies at depth 4.
+                    n = len(value)
+                    value = (lists.get(n) or lists.setdefault(n, _layout([0] * n, " " * 8))) % tuple(value)
                 values.append(value)
-            entries.append(layout % tuple(values))
-        text = text.replace('\n  "trace": []', '\n  "trace": [\n' + ",\n".join(entries) + "\n  ]", 1)
+            shape = (transition, *detail)
+            if shape not in layouts:
+                sample = {"t": 0, "transition": transition, "detail": dict.fromkeys(detail, 0)}
+                layouts[shape] = _layout(sample, "    ")
+            entries.append(layouts[shape] % tuple(values))
+        array = ",\n    ".join(entries)
+        text = text.replace('\n  "trace": []', f'\n  "trace": [\n    {array}\n  ]', 1)
     if result.finished:
-        pi, it, st, wt, es, pr = zip(*result.finished)
-        rows = zip(pi, it, st, wt, es, map(add, es, st), map(add, wt, st), *zip(*pr))
-        array = ",\n".join(map(_PROCESS_JSON.__mod__, rows))
-        text = text.replace('\n  "processes": []', f'\n  "processes": [\n{array}\n  ]', 1)
+        pi, it, st, wt, es, pr = map(_Column, zip(*result.finished))
+        entry = _process_entry(Process(pi, it, st, wt, es, PriorityPair(*map(_Column, zip(*pr)))))
+        # The layout holds a list's items, so a list of columns gives one column per item.
+        columns = [c for value in entry.values() for c in (value if type(value) is list else (value,))]
+        array = ",\n    ".join(map(_PROCESS_LAYOUT.__mod__, zip(*columns)))
+        text = text.replace('\n  "processes": []', f'\n  "processes": [\n    {array}\n  ]', 1)
     return text
 
 

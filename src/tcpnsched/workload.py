@@ -76,8 +76,10 @@ class Process(NamedTuple):
 class Workload:
     """An ordered collection of processes; list order is preserved end-to-end.
 
-    Building one raises WorkloadError listing the invariant violations: the
-    first ten in order, then a count of the rest.
+    Building one checks every process against the invariants of
+    ``_violations`` and raises WorkloadError listing what it finds: the first
+    ten violations in order, then a count of the rest. Field types are not
+    checked: a value that compares as a valid one, such as ``st=nan``, passes.
     """
 
     processes: tuple[Process, ...]
@@ -87,12 +89,9 @@ class Workload:
         # Stored as a tuple, so that no one can change the processes once checked.
         procs = tuple(self.processes)
         object.__setattr__(self, "processes", procs)
-        # One pass over the columns clears a valid workload; anything it
-        # doubts goes through _violations, which decides and words the report.
-        if procs and not _columns_valid(procs):
-            violations = _violations(procs)
-            if violations:
-                raise WorkloadError(_report(violations))
+        violations = _violations(procs)
+        if violations:
+            raise WorkloadError(_report(violations))
 
     def __len__(self) -> int:
         return len(self.processes)
@@ -102,47 +101,33 @@ class Workload:
 _REPORTED_VIOLATIONS = 10
 
 
-def _columns_valid(procs: tuple[Process, ...]) -> bool:
-    """True when no process breaks an invariant, decided column by column."""
-    pi, it, st, wt, es, pr = zip(*procs)
-    return (
-        min(pi) >= 1
-        and len(set(pi)) == len(pi)
-        and min(it) >= 0
-        and min(st) >= 1
-        and not any(wt)
-        and not any(es)
-        and not any(map(itemgetter(1), pr))
-        and max(it) + sum(st) < _FINISH_LIMIT
-    )
-
-
 def _violations(procs: tuple[Process, ...]) -> list[str]:
-    """Every invariant violation, process by process, in the order they are reported.
+    """Every invariant violation in ``procs``, in the order they are reported; empty if none.
 
-    ``_columns_valid`` must reject every workload this finds a violation in:
-    a new invariant goes into both.
+    Each process has an index >= 1 that no other process has, an arrival
+    time >= 0, a service time >= 1, and wt, es and minor priority 0; and the
+    latest possible finish, max(it) + sum(st), is below 2**1023. One pass
+    unpacks each record once, and words a violation only when it finds one.
     """
     violations: list[str] = []
     seen: set[int] = set()
-    for p in procs:
-        where = f"process {p.pi}"
-        if p.pi < 1:
-            violations.append(f"{where}: index must be >= 1")
-        if p.pi in seen:
-            violations.append(f"duplicate index {p.pi}")
-        seen.add(p.pi)
-        if p.it < 0:
-            violations.append(f"{where}: negative arrival time {p.it}")
-        if p.st < 1:
-            violations.append(f"{where}: service time must be >= 1")
-        if p.wt != 0:
-            violations.append(f"{where}: fresh workload must have wt = 0")
-        if p.es != 0:
-            violations.append(f"{where}: fresh workload must have es = 0")
-        if p.pr.minor != 0:
-            violations.append(f"{where}: fresh workload must have minor priority 0")
-    if procs and max(p.it for p in procs) + sum(p.st for p in procs) >= _FINISH_LIMIT:
+    for pi, it, st, wt, es, (_, minor) in procs:
+        if pi < 1:
+            violations.append(f"process {pi}: index must be >= 1")
+        if pi in seen:
+            violations.append(f"duplicate index {pi}")
+        seen.add(pi)
+        if it < 0:
+            violations.append(f"process {pi}: negative arrival time {it}")
+        if st < 1:
+            violations.append(f"process {pi}: service time must be >= 1")
+        if wt != 0:
+            violations.append(f"process {pi}: fresh workload must have wt = 0")
+        if es != 0:
+            violations.append(f"process {pi}: fresh workload must have es = 0")
+        if minor != 0:
+            violations.append(f"process {pi}: fresh workload must have minor priority 0")
+    if max(map(itemgetter(1), procs), default=0) + sum(map(itemgetter(2), procs)) >= _FINISH_LIMIT:
         violations.append("latest possible finish max(it) + sum(st) must be below 2**1023")
     return violations
 

@@ -39,6 +39,7 @@ from tcpnsched import (
 )
 
 from helpers import odd_trace_records, run_on_closed_pipe
+from test_cli import HRRN_EXPECTED
 
 
 def _results():
@@ -60,6 +61,12 @@ def trace_is_json_dumps(cli_module) -> None:
             doc = cli_module.result_json_doc(result)
             doc["trace"] = records
             assert cli_module.result_json_text(result, records) == json.dumps(doc, indent=2)
+
+
+def hrrn_document_is_golden(cli_module) -> None:
+    table1 = builtin_paper_workload()
+    result = compute_metrics(simulate(table1, Policy.HRRN), table1, Policy.HRRN)
+    assert json.loads(cli_module.result_json_text(result)) == HRRN_EXPECTED
 
 
 def _report(workload_module, *rows) -> str:
@@ -145,21 +152,34 @@ def clock_moves_through_the_module_hook(kernel_module) -> None:
 
 MUTANTS = [
     # (id, module, fragment, replacement, check)
-    ("process-layout-space", cli, '"wt": %d,', '"wt":  %d,', processes_are_json_dumps),
+    (
+        "process-layout-space",
+        cli,
+        '_layout(_process_entry(Process(0, 0, 0)), "    ")',
+        '_layout(_process_entry(Process(0, 0, 0)), "     ")',
+        processes_are_json_dumps,
+    ),
     (
         "finish-turnaround-swapped",
         cli,
-        "map(add, es, st), map(add, wt, st)",
-        "map(add, wt, st), map(add, es, st)",
-        processes_are_json_dumps,
+        '"finish": p.es + p.st,\n        "turnaround": p.wt + p.st,',
+        '"finish": p.wt + p.st,\n        "turnaround": p.es + p.st,',
+        hrrn_document_is_golden,
     ),
-    ("trace-item-separator", cli, r'",\n          ".join', r'",\n         ".join', trace_is_json_dumps),
-    ("trace-empty-list-bracketed", cli, ' if value else "[]"', "", trace_is_json_dumps),
-    ("arrival-floor-dropped", workload, "        and min(it) >= 0\n", "", negative_arrival_is_rejected),
+    ("finish-from-waiting-time", cli, '"finish": p.es + p.st', '"finish": p.wt + p.st', hrrn_document_is_golden),
+    ("trace-item-separator", cli, '_layout([0] * n, " " * 8)', '_layout([0] * n, " " * 7)', trace_is_json_dumps),
+    ("trace-empty-list-bracketed", cli, "_layout([0] * n,", "_layout([0] * n or [[]],", trace_is_json_dumps),
+    (
+        "arrival-floor-dropped",
+        workload,
+        '        if it < 0:\n            violations.append(f"process {pi}: negative arrival time {it}")\n',
+        "",
+        negative_arrival_is_rejected,
+    ),
     (
         "duplicate-check-dropped",
         workload,
-        "        and len(set(pi)) == len(pi)\n",
+        '        if pi in seen:\n            violations.append(f"duplicate index {pi}")\n',
         "",
         duplicate_index_is_rejected,
     ),
@@ -179,6 +199,13 @@ MUTANTS = [
         oracle_agrees_on_ties,
     ),
     ("heap-pop-first", oracle, "heapq.heappop(ready)", "ready.pop(0)", oracle_agrees_on_ties),
+    (
+        "hrrn-ranks-taken-at-arrival",
+        oracle,
+        "(st + now - groups[0][0]) * 100 // st",
+        "(st + groups[0][0] - groups[0][0]) * 100 // st",
+        oracle_agrees_on_ties,
+    ),
     (
         "guard-engine-error-wrapped",
         kernel,

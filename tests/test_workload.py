@@ -109,6 +109,21 @@ class TestValidate:
             "process 1: fresh workload must have minor priority 0"
         )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"wt": None}, "process 1: fresh workload must have wt = 0"),
+            ({"es": None}, "process 1: fresh workload must have es = 0"),
+            ({"pr": PriorityPair(0, None)}, "process 1: fresh workload must have minor priority 0"),
+        ],
+        ids=["wt", "es", "minor-priority"],
+    )
+    def test_a_none_run_field_is_reported(self, fields, message):
+        # None is falsy, so a check that only asks whether any field is set lets it through.
+        with pytest.raises(WorkloadError) as info:
+            Workload((Process(1, 0, 1, **fields),))
+        assert str(info.value) == message
+
     def test_a_list_is_stored_as_a_tuple(self):
         # The processes are checked once, so they must not change afterwards.
         procs = [Process(1, 0, 1)]
