@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -115,11 +116,13 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
 
     A ``trace`` given (``trace_records`` of a run) is added to the document
     under ``"trace"``; a trace value other than an int, or a list of ints in a
-    detail, raises TypeError. ``json.dumps`` writes the document with both
-    arrays empty. Each entry of either is written from a ``_layout`` of its
-    keys, each list in a trace detail from that of its length, and both
-    arrays are spliced in. The ``processes`` values come from one
-    ``_process_entry`` call over the columns of the finished records.
+    detail, raises TypeError, and so does a transition name that is a list or
+    a dict, since it keys the layouts. ``json.dumps`` writes the document
+    with both arrays empty. Each entry of either is written from a
+    ``_layout`` of its keys, each list in a trace detail from that of its
+    length, and both arrays are spliced in. The ``processes`` values come
+    from one ``_process_entry`` call over the columns of the finished
+    records.
     """
     doc = result_json_doc(dataclasses.replace(result, finished=()))
     if trace is not None:
@@ -143,10 +146,13 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
                     n = len(value)
                     value = (lists.get(n) or lists.setdefault(n, _layout([0] * n, " " * 8))) % tuple(value)
                 values.append(value)
-            shape = (transition, *detail)
+            # The type tells apart names that compare equal but print apart: 0, False and 0.0.
+            shape = (type(transition), transition, *detail)
             if shape not in layouts:
-                sample = {"t": 0, "transition": transition, "detail": dict.fromkeys(detail, 0)}
-                layouts[shape] = _layout(sample, "    ")
+                sample = {"t": 0, "transition": "", "detail": dict.fromkeys(detail, 0)}
+                # The name goes in after the 0s became slots, so a 0 in it stays a 0.
+                name = json.dumps(transition, indent=2).replace("%", "%%").replace("\n", "\n" + " " * 6)
+                layouts[shape] = _layout(sample, "    ").replace('"transition": ""', f'"transition": {name}', 1)
             entries.append(layouts[shape] % tuple(values))
         array = ",\n    ".join(entries)
         text = text.replace('\n  "trace": []', f'\n  "trace": [\n    {array}\n  ]', 1)
@@ -264,7 +270,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    ``parse_args`` gives each call a fresh ``Namespace``, and help text reads
+    the terminal width when it is printed, so no call sees another's options.
+    """
     parser = _Parser(
         prog="tcpnsched",
         description="Single-processor non-preemptive scheduling on a timed colored Petri net.",

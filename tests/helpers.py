@@ -146,10 +146,13 @@ def odd_trace_records() -> list[dict]:
 
     They hold a transition name outside the net's four, a name and keys with
     ``"``, ``%`` and non-ASCII characters, an empty detail, an empty list,
-    negative and 40-digit integers, and two key sets under one name.
+    negative and 40-digit integers, two key sets under one name, and names
+    that are not strings: the int 0, and ``False``, which equals it.
     """
     return [
         {"t": 0, "transition": "Fork", "detail": {"a": 1}},
+        {"t": 1, "transition": 0, "detail": {"a": 2}},
+        {"t": 2, "transition": False, "detail": {"a": 0}},
         {"t": 3, "transition": 'Wait "%s" %d %% \u00fc\u4e2d', "detail": {'50% "done" \u00e9': -7, "%(x)s": [1]}},
         {"t": 3, "transition": "Tick", "detail": {}},
         {"t": -1, "transition": "Fork", "detail": {"b": [], "a": 10**40}},

@@ -1,4 +1,6 @@
 import codecs
+import contextlib
+import io
 import json
 import os
 import re
@@ -67,6 +69,51 @@ def invoke(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: In-process calls that each set options the others leave at their defaults:
+#: ``run`` under both engines, every format and each policy, with and without
+#: a trace, then each other command and each way out of ``main``.
+SEQUENCE = [
+    *(
+        ("run", "--engine", "cpn", "--format", fmt, "--policy", policy.value, *trace)
+        for fmt, policy in zip(("json", "table", "gantt-csv"), Policy)
+        for trace in ((), ("--trace",))
+    ),
+    *(("run", "--engine", "oracle", "--format", fmt) for fmt in ("json", "table", "gantt-csv")),
+    ("run", "--policy", "hrrn", "--engine", "oracle"),
+    ("compare", "--policy", "pr"),
+    ("compare",),
+    ("fuzz", "--seed", "1", "--count", "2"),
+    ("run", "--policy", "bogus"),
+    ("run", "--format", "bogus"),
+    ("run", "--engine", "oracle", "--trace"),
+    ("run", "--help"),
+    ("run",),
+]
+
+
+def outcomes(main, sequence) -> dict:
+    """Each argv's exit code, stdout and stderr when ``main`` runs ``sequence`` in order, in this process."""
+    seen = {}
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as e:
+                code = e.code
+        seen[argv] = (code, out.getvalue(), err.getvalue())
+    return seen
+
+
+def calls_are_independent(cli_module) -> None:
+    """``SEQUENCE`` gives the same outcome per argv run forward and reversed, and a trace only when asked."""
+    forward = outcomes(cli_module.main, SEQUENCE)
+    assert outcomes(cli_module.main, SEQUENCE[::-1]) == forward
+    assert [code for code, _, _ in forward.values()].count(1) == 3
+    for argv, (code, out, _) in forward.items():
+        assert ('"transition"' in out) == ("--trace" in argv and code == 0), argv
 
 
 class TestRun:
@@ -475,6 +522,28 @@ class TestErrorPaths:
         assert readme_flags - offered == set(), "README names options no subcommand offers"
         for command, flags in help_flags.items():
             assert flags - readme_flags == set(), f"README does not name {command} options"
+
+
+class TestInProcess:
+    """``main`` called again and again in one process, as a program embedding the CLI does."""
+
+    def test_calls_are_independent_of_their_order(self):
+        calls_are_independent(cli)
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        assert cli.main(["run"]) == 0  # the first call in the process may build it
+        built = []
+        real_init = cli._Parser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        for policy in [*Policy, *Policy, Policy.FCFS, Policy.SJF]:  # ten calls
+            assert cli.main(["run", "--policy", policy.value]) == 0
+        assert built == []
+        assert capsys.readouterr().err == ""
 
 
 class TestCompare:

@@ -10,7 +10,12 @@ row rather than making it vacuous, that the check passes on the real module,
 and that it fails on the mutant.
 
 Known equivalent mutants are not rows. One is ``insort_left`` for ``insort``
-in Activate: ``pi`` ends both sort keys, so no two records ever tie.
+in Activate: ``pi`` ends both sort keys, so no two records ever tie. Another
+is ``main`` parsing every call into one ``Namespace`` kept with the cached
+parser: the subcommand's parser fills a fresh ``Namespace`` of its own, with
+all its defaults, and copies it over, so no option of ``run``, ``compare``
+or ``fuzz`` outlives its call. The row ``namespace-kept-per-parser`` keeps one
+in every parser, the subcommands' too, and that one leaks.
 """
 
 import json
@@ -39,7 +44,7 @@ from tcpnsched import (
 )
 
 from helpers import odd_trace_records, run_on_closed_pipe
-from test_cli import HRRN_EXPECTED
+from test_cli import HRRN_EXPECTED, calls_are_independent
 
 
 def _results():
@@ -168,6 +173,13 @@ MUTANTS = [
     ),
     ("finish-from-waiting-time", cli, '"finish": p.es + p.st', '"finish": p.wt + p.st', hrrn_document_is_golden),
     ("trace-item-separator", cli, '_layout([0] * n, " " * 8)', '_layout([0] * n, " " * 7)', trace_is_json_dumps),
+    (
+        "trace-name-type-dropped",
+        cli,
+        "shape = (type(transition), transition, *detail)",
+        "shape = (transition, *detail)",
+        trace_is_json_dumps,
+    ),
     ("trace-empty-list-bracketed", cli, "_layout([0] * n,", "_layout([0] * n or [[]],", trace_is_json_dumps),
     (
         "arrival-floor-dropped",
@@ -184,6 +196,15 @@ MUTANTS = [
         duplicate_index_is_rejected,
     ),
     ("devnull-left-open", cli, "        os.close(devnull)\n", "", closed_pipe_leaves_no_descriptor_open),
+    (
+        "namespace-kept-per-parser",
+        cli,
+        "    def error(self, message: str):\n",
+        "    def parse_known_args(self, args=None, namespace=None):\n"
+        "        return super().parse_known_args(args, vars(self).setdefault('kept', argparse.Namespace()))\n\n"
+        "    def error(self, message: str):\n",
+        calls_are_independent,
+    ),
     (
         "hrrn-head-group-only",
         oracle,
