@@ -146,8 +146,8 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
                     n = len(value)
                     value = (lists.get(n) or lists.setdefault(n, _layout([0] * n, " " * 8))) % tuple(value)
                 values.append(value)
-            # The type tells apart names that compare equal but print apart: 0, False and 0.0.
-            shape = (type(transition), transition, *detail)
+            # Types tell apart names and keys that compare equal but print apart: 0, False and 0.0.
+            shape = (type(transition), transition, *detail, *map(type, detail))
             if shape not in layouts:
                 sample = {"t": 0, "transition": "", "detail": dict.fromkeys(detail, 0)}
                 # The name goes in after the 0s became slots, so a 0 in it stays a 0.

@@ -6,9 +6,12 @@ read input tokens are ready at the current clock and its guard evaluates
 true on the input values. Firing the enabled transition of lowest rank takes
 five steps in this order: check the firing budget; run the action on the
 same mapping of input values its guard saw; check that its outputs rewrite
-exactly the consumed places; check that no output token is ready before the
-clock; then write the outputs into the marking and, when the state keeps a
-trace, append one event to it. A consumed token leaves the marking, so the
+exactly the consumed places; build each output ``(value, ready_time)`` pair
+into a token, checking that it is a pair that is not ready before the clock,
+and write it into the marking; then, when the state keeps a trace, append
+one event to it. The marking holds only ``TimedToken``s, and the kernel
+builds every one an action writes, so an action returns plain pairs (a
+``TimedToken`` is one too). A consumed token leaves the marking, so the
 action owns the values of its consumed places: it may update them in place
 and return them in its outputs. It never changes a read place. When nothing
 is enabled, the clock jumps to the smallest token ready-time strictly ahead
@@ -30,8 +33,9 @@ DEFAULT_STEP_LIMIT = 1_000_000
 
 #: guard(values, clock) -> bool, where values maps input place name -> token value.
 Guard = Callable[[Mapping[str, Any], int], bool]
-#: action(values, clock) -> (outputs, detail); outputs maps consumed place -> new token.
-Action = Callable[[Mapping[str, Any], int], tuple[dict[str, "TimedToken"], dict]]
+#: action(values, clock) -> (outputs, detail); outputs maps each consumed place
+#: to its new (value, ready_time) pair, which the kernel stores as a TimedToken.
+Action = Callable[[Mapping[str, Any], int], tuple[dict[str, tuple[Any, int]], dict]]
 
 
 class EngineError(RuntimeError):
@@ -115,7 +119,7 @@ def advance_clock(net: Net, state: EngineState) -> int | None:
     ready-time strictly greater than the current clock.
     """
     clock = state.clock
-    future = [tok.ready_time for tok in state.marking.values() if tok.ready_time > clock]
+    future = [ready_time for _, ready_time in state.marking.values() if ready_time > clock]
     if not future:
         return None
     state.clock = min(future)
@@ -132,10 +136,12 @@ def steps(
     None. The generator returns when no token lies ahead of the clock.
     Deterministic: identical inputs give identical traces. Arcs are
     resolved, and ``state.trace`` read, once per call, so a step builds only
-    the values mapping that its guard and action share, plus its event when
-    the state keeps a trace. A guard or action that raises an exception
-    other than EngineError is reported as an EngineError naming the
-    transition and the clock; an EngineError passes through unchanged.
+    the values mapping that its guard and action share, the tokens of its
+    outputs, and its event when the state keeps a trace. A guard or action
+    that raises an exception other than EngineError is reported as an
+    EngineError naming the transition and the clock; an EngineError passes
+    through unchanged. An output that is not a (value, ready_time) pair is
+    an EngineError naming the transition and the place.
 
     Raises StepLimitExceeded when the firing budget runs out, which points
     at a non-terminating net.
@@ -145,22 +151,22 @@ def steps(
         raise EngineError(f"initial marking does not cover place {missing[0]!r}")
 
     marking, trace = state.marking, state.trace
-    arcs = [(t, t.consumed + t.reads, set(t.consumed)) for t in net.transitions]
+    arcs = [(t, t.guard, t.consumed + t.reads, set(t.consumed)) for t in net.transitions]
     firings = 0
     while True:
         clock = state.clock
         # Enabling: stop at the first transition, in rank order, whose input
         # tokens are all ready and whose guard holds; if none, advance the clock.
-        for t, inputs, consumed in arcs:
+        for t, guard, inputs, consumed in arcs:
             values = {}
             for name in inputs:
-                token = marking[name]
-                if token.ready_time > clock:
+                value, ready_time = marking[name]
+                if ready_time > clock:
                     break
-                values[name] = token.value
+                values[name] = value
             else:
                 try:
-                    if t.guard(values, clock):
+                    if guard(values, clock):
                         break
                 except EngineError:
                     raise
@@ -186,11 +192,20 @@ def steps(
                 f"transition {t.name!r} must rewrite exactly its consumed places "
                 f"{sorted(t.consumed)}, wrote {sorted(outputs)}"
             )
-        for name, token in outputs.items():
-            if token.ready_time < clock:
+        for name, pair in outputs.items():
+            # tuple.__new__ builds the token in C, as namedtuple's _make does.
+            try:
+                token = tuple.__new__(TimedToken, pair)
+                _, ready_time = token
+            except (TypeError, ValueError):
+                raise EngineError(
+                    f"transition {t.name!r} wrote place {name!r} {pair!r:.40}, "
+                    "not a (value, ready_time) pair"
+                ) from None
+            if ready_time < clock:
                 raise EngineError(
                     f"transition {t.name!r} would move place {name!r} "
-                    f"back in time ({token.ready_time} < {clock})"
+                    f"back in time ({ready_time} < {clock})"
                 )
             marking[name] = token
         if trace is not None:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from operator import attrgetter
 
 from .kernel import EngineState, Net, TimedToken, Transition, run
@@ -104,14 +104,14 @@ def update_priority(policy: Policy, p: Process) -> Process:
         pr = PriorityPair(p.pr.major, p.it)
     else:
         pr = PriorityPair(hrrn_ratio(p.st, p.wt), 0)
-    return Process(pi=p.pi, it=p.it, st=p.st, wt=p.wt, es=p.es, pr=pr)
+    return Process(p.pi, p.it, p.st, p.wt, p.es, pr)
 
 
 def update_proc_wait(p: Process, now: int) -> Process:
     """Set the waiting time of ``p`` to ``now`` minus its arrival time."""
     if now < p.it:
         raise ValueError(f"process {p.pi}: waiting time would be negative at t={now}")
-    return Process(pi=p.pi, it=p.it, st=p.st, wt=now - p.it, es=p.es, pr=p.pr)
+    return Process(p.pi, p.it, p.st, now - p.it, p.es, p.pr)
 
 
 def update_all(l: list[Process], policy: Policy, now: int) -> list[Process]:
@@ -146,11 +146,12 @@ def compare_process(p1: Process, p2: Process, policy: Policy) -> int:
     """
     if p1.pi == p2.pi:
         raise ValueError(f"cannot compare a process index with itself: {p1.pi}")
-    major = cmp_scalar(p1.pr.major, p2.pr.major, policy)
-    if major != 0:
-        return major
-    if p1.pr.minor != p2.pr.minor:
-        return 1 if p1.pr.minor < p2.pr.minor else -1
+    (major1, minor1), (major2, minor2) = p1.pr, p2.pr
+    # cmp_scalar ties equal majors, so only differing ones need it.
+    if major1 != major2:
+        return cmp_scalar(major1, major2, policy)
+    if minor1 != minor2:
+        return 1 if minor1 < minor2 else -1
     return 1 if p1.pi < p2.pi else -1
 
 
@@ -171,7 +172,7 @@ def elect(l: list[Process], policy: Policy) -> int:
 
 def set_execution_start(p: Process, now: int) -> Process:
     """Stamp ``now`` as the execution start time of ``p``."""
-    return Process(pi=p.pi, it=p.it, st=p.st, wt=p.wt, es=now, pr=p.pr)
+    return Process(p.pi, p.it, p.st, p.wt, now, p.pr)
 
 
 def is_idle(ready: list[Process], new: list[Process], run_list: list[Process], now: int) -> bool:
@@ -203,7 +204,17 @@ class SchedulerNet:
 
 
 def build_net(w: Workload, policy: Policy) -> SchedulerNet:
-    """Assemble the scheduler net that runs ``w`` under ``policy``."""
+    """The scheduler net that runs ``w`` under ``policy``; each policy's net is built once."""
+    return SchedulerNet(workload=w, net=_policy_net(policy))
+
+
+@cache
+def _policy_net(policy: Policy) -> Net:
+    """The scheduler net of ``policy``, built once per process.
+
+    It holds no workload: every run starts from its own initial marking,
+    and the actions keep no state between firings.
+    """
 
     def activate_guard(v, clock):
         return exists_arrived(v[NEW_TASKS], clock)
@@ -221,7 +232,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
             p = new.pop()
             activated.append(p.pi)
             bisect.insort(ready, p if hrrn else update_priority(policy, p), key=order)
-        outputs = {NEW_TASKS: TimedToken(new, clock), READY_QUEUE: TimedToken(ready, clock)}
+        outputs = {NEW_TASKS: (new, clock), READY_QUEUE: (ready, clock)}
         return outputs, {"activated": activated}
 
     def execute_guard(v, clock):
@@ -231,7 +242,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         p = set_execution_start(v[RUNNING].pop(), clock)
         v[FINISHED].append(p)
         done = clock + p.st
-        outputs = {FINISHED: TimedToken(v[FINISHED], done), RUNNING: TimedToken(v[RUNNING], done)}
+        outputs = {FINISHED: (v[FINISHED], done), RUNNING: (v[RUNNING], done)}
         return outputs, {"executed": p.pi, "start": clock, "finish": done}
 
     def dispatch_guard(v, clock):
@@ -271,7 +282,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         if hrrn:
             chosen = update_priority(policy, chosen)
         v[RUNNING].append(chosen)
-        outputs = {RUNNING: TimedToken(v[RUNNING], clock), READY_QUEUE: TimedToken(ready, clock)}
+        outputs = {RUNNING: (v[RUNNING], clock), READY_QUEUE: (ready, clock)}
         detail = {"dispatched": chosen.pi, "wt": chosen.wt, "pr": [chosen.pr.major, chosen.pr.minor]}
         return outputs, detail
 
@@ -282,7 +293,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
         # The token value is unchanged; only its ready-time moves, to the next
         # arrival (the last record of NewTasks), since nothing can fire before it.
         until = v[NEW_TASKS][-1].it
-        return {NEW_TASKS: TimedToken(v[NEW_TASKS], until)}, {"idle_until": until}
+        return {NEW_TASKS: (v[NEW_TASKS], until)}, {"idle_until": until}
 
     transitions = (
         Transition(
@@ -316,8 +327,7 @@ def build_net(w: Workload, policy: Policy) -> SchedulerNet:
             action=idle_action,
         ),
     )
-    net = Net(name=f"scheduler-{policy.value}", places=PLACES, transitions=transitions)
-    return SchedulerNet(workload=w, net=net)
+    return Net(name=f"scheduler-{policy.value}", places=PLACES, transitions=transitions)
 
 
 def simulate(w: Workload, policy: Policy, trace: bool = True) -> EngineState:

@@ -146,8 +146,9 @@ def odd_trace_records() -> list[dict]:
 
     They hold a transition name outside the net's four, a name and keys with
     ``"``, ``%`` and non-ASCII characters, an empty detail, an empty list,
-    negative and 40-digit integers, two key sets under one name, and names
-    that are not strings: the int 0, and ``False``, which equals it.
+    negative and 40-digit integers, two key sets under one name, names that
+    are not strings: the int 0, and ``False``, which equals it, and keys that
+    are not strings under one name: the int 1, and ``True``, which equals it.
     """
     return [
         {"t": 0, "transition": "Fork", "detail": {"a": 1}},
@@ -158,6 +159,8 @@ def odd_trace_records() -> list[dict]:
         {"t": -1, "transition": "Fork", "detail": {"b": [], "a": 10**40}},
         {"t": 10**40, "transition": "Join", "detail": {"ids": [-(10**39), 0, 2**64]}},
         {"t": 12, "transition": "Fork", "detail": {"a": -(10**39)}},
+        {"t": 13, "transition": "Keyed", "detail": {1: 2}},
+        {"t": 14, "transition": "Keyed", "detail": {True: 2}},
     ]
 
 

@@ -16,7 +16,9 @@ from tcpnsched import (
     advance_clock,
     build_net,
     builtin_paper_workload,
+    kernel,
     run,
+    simulate,
     steps,
     trace_records,
 )
@@ -38,6 +40,50 @@ def counter_net(limit=3, delay=1):
 
 def counter_state(value=0, ready=0):
     return EngineState(marking={"cell": TimedToken(value, ready)})
+
+
+def pairs_become_tokens(kernel_module) -> None:
+    """A counter whose action writes plain pairs runs as one that writes TimedTokens.
+
+    Both end with the same marking, clock and trace, and their markings hold
+    only TimedTokens.
+    """
+    k = kernel_module
+    finals = []
+    for make in (tuple, k.TimedToken._make):
+
+        def action(v, clock, make=make):
+            return {"cell": make((v["cell"] + 1, clock + 1))}, {"count": v["cell"] + 1}
+
+        t = k.Transition(name="inc", rank=0, consumed=("cell",), guard=lambda v, c: v["cell"] < 3, action=action)
+        final = k.run(k.Net("counter", ("cell",), (t,)), k.EngineState(marking={"cell": k.TimedToken(0, 0)}))
+        assert type(final.marking["cell"]) is k.TimedToken, make
+        finals.append((final.marking, final.clock, final.trace))
+    assert finals[0] == finals[1]
+
+
+#: Outputs that are not (value, ready_time) pairs: three items, and no sequence at all.
+NOT_PAIRS = [(1, 2, 3), 7]
+
+
+def outputs_that_are_not_pairs_are_model_errors(kernel_module) -> None:
+    """Each of ``NOT_PAIRS`` written by an action is an EngineError naming the transition and place."""
+    k = kernel_module
+    for output in NOT_PAIRS:
+        t = k.Transition(
+            name="bad",
+            rank=0,
+            consumed=("cell",),
+            guard=lambda v, c: v["cell"] == 0,
+            action=lambda v, c, output=output: ({"cell": output}, {}),
+        )
+        error = None
+        try:
+            k.run(k.Net("bad", ("cell",), (t,)), k.EngineState(marking={"cell": k.TimedToken(0, 0)}))
+        except Exception as e:
+            error = e
+        assert type(error) is k.EngineError, output
+        assert str(error) == f"transition 'bad' wrote place 'cell' {output!r}, not a (value, ready_time) pair"
 
 
 class TestEnabling:
@@ -166,6 +212,18 @@ class TestFiring:
             run(net, state)
         assert str(info.value) == "transition 'rewind' would move place 'cell' back in time (3 < 4)"
 
+    def test_plain_pairs_run_as_tokens(self):
+        pairs_become_tokens(kernel)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_scheduler_marking_holds_only_tokens(self, policy):
+        for w in [builtin_paper_workload()] + make_corpus(29, 10):
+            tokens = simulate(w, policy).marking.values()
+            assert {type(token) for token in tokens} == {TimedToken}, w.name
+
+    def test_output_that_is_not_a_pair_is_a_model_error(self):
+        outputs_that_are_not_pairs_are_model_errors(kernel)
+
     def test_net_rejects_undeclared_place(self):
         t = Transition(
             name="ghost", rank=0, consumed=("nowhere",), guard=lambda v, c: True, action=None
@@ -192,8 +250,6 @@ class TestClock:
     def test_steps_advances_through_the_module_hook(self, monkeypatch, table1):
         # perfbench/layers.py counts clock advances by rebinding
         # kernel.advance_clock, so steps must look it up on every advance.
-        from tcpnsched import kernel
-
         real, moved = kernel.advance_clock, []
 
         def counting(net, state):
@@ -422,7 +478,7 @@ class TestSchedulerNetExamples:
         assert state.clock == 5
 
     def test_empty_workload_halts_immediately(self):
-        from tcpnsched import Workload, simulate
+        from tcpnsched import Workload
 
         final = simulate(Workload(()), Policy.FCFS)
         assert final.clock == 0
@@ -430,15 +486,11 @@ class TestSchedulerNetExamples:
         assert final.marking[FINISHED].value == []
 
     def test_determinism_byte_identical_traces(self, table1):
-        from tcpnsched import simulate
-
         a = simulate(table1, Policy.HRRN)
         b = simulate(table1, Policy.HRRN)
         assert json.dumps(trace_records(a.trace)) == json.dumps(trace_records(b.trace))
 
     def test_trace_export_shape(self, table1):
-        from tcpnsched import simulate
-
         records = trace_records(simulate(table1, Policy.FCFS).trace)
         assert records, "trace must not be empty"
         for rec in records:

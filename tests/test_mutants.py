@@ -38,6 +38,7 @@ from tcpnsched import (
     diff_results,
     kernel,
     oracle,
+    sched,
     simulate,
     trace_records,
     workload,
@@ -45,6 +46,7 @@ from tcpnsched import (
 
 from helpers import odd_trace_records, run_on_closed_pipe
 from test_cli import HRRN_EXPECTED, calls_are_independent
+from test_kernel import outputs_that_are_not_pairs_are_model_errors, pairs_become_tokens
 
 
 def _results():
@@ -108,11 +110,24 @@ TIES = [
 ]
 
 
-def oracle_agrees_on_ties(oracle_module) -> None:
+def _ties():
+    """``TIES`` as ``(policy, workload)`` pairs."""
     for policy, rows in TIES:
-        w = Workload(tuple(Process(pi, it, st, pr=PriorityPair(prio, 0)) for pi, it, st, prio in rows))
+        yield policy, Workload(tuple(Process(pi, it, st, pr=PriorityPair(prio, 0)) for pi, it, st, prio in rows))
+
+
+def oracle_agrees_on_ties(oracle_module) -> None:
+    for policy, w in _ties():
         result = compute_metrics(simulate(w, policy), w, policy)
-        assert diff_results(result, oracle_module.oracle_schedule(w, policy)) == [], (policy, rows)
+        assert diff_results(result, oracle_module.oracle_schedule(w, policy)) == [], (policy, w)
+
+
+def engine_agrees_with_oracle(sched_module) -> None:
+    """The engine's schedule of paper-table1 under each policy, and of ``TIES``, is the oracle's."""
+    table1 = builtin_paper_workload()
+    for policy, w in [(policy, table1) for policy in Policy] + list(_ties()):
+        result = compute_metrics(sched_module.simulate(w, policy), w, policy)
+        assert diff_results(result, oracle.oracle_schedule(w, policy)) == [], (policy, w)
 
 
 def model_errors_keep_their_cause(kernel_module) -> None:
@@ -176,10 +191,11 @@ MUTANTS = [
     (
         "trace-name-type-dropped",
         cli,
-        "shape = (type(transition), transition, *detail)",
-        "shape = (transition, *detail)",
+        "shape = (type(transition), transition,",
+        "shape = (transition,",
         trace_is_json_dumps,
     ),
+    ("trace-key-type-dropped", cli, ", *map(type, detail))", ")", trace_is_json_dumps),
     ("trace-empty-list-bracketed", cli, "_layout([0] * n,", "_layout([0] * n or [[]],", trace_is_json_dumps),
     (
         "arrival-floor-dropped",
@@ -254,6 +270,28 @@ MUTANTS = [
         'action of transition {t.name!r} failed at t={clock}: {e}") from e',
         'action of transition {t.name!r} failed at t={clock}: {e}")',
         model_errors_keep_their_cause,
+    ),
+    ("token-left-a-pair", kernel, "marking[name] = token", "marking[name] = pair", pairs_become_tokens),
+    (
+        "pair-length-unchecked",
+        kernel,
+        "_, ready_time = token",
+        "ready_time = token[1]",
+        outputs_that_are_not_pairs_are_model_errors,
+    ),
+    (
+        "non-sequence-output-unchecked",
+        kernel,
+        "except (TypeError, ValueError):",
+        "except ValueError:",
+        outputs_that_are_not_pairs_are_model_errors,
+    ),
+    (
+        "major-comparison-swapped",
+        sched,
+        "return cmp_scalar(major1, major2, policy)",
+        "return cmp_scalar(major2, major1, policy)",
+        engine_agrees_with_oracle,
     ),
     (
         "advance-clock-bound-at-definition",
