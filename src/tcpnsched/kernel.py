@@ -7,34 +7,43 @@ true on the input values. Firing the enabled transition of lowest rank takes
 five steps in this order: check the firing budget; run the action on the
 same mapping of input values its guard saw; check that its outputs rewrite
 exactly the consumed places; build each output ``(value, ready_time)`` pair
-into a token, checking that it is a pair that is not ready before the clock,
-and write it into the marking; then, when the state keeps a trace, append
-one event to it. The marking holds only ``TimedToken``s, and the kernel
-builds every one an action writes, so an action returns plain pairs (a
-``TimedToken`` is one too). A consumed token leaves the marking, so the
-action owns the values of its consumed places: it may update them in place
-and return them in its outputs. It never changes a read place. When nothing
-is enabled, the clock jumps to the smallest token ready-time strictly ahead
-of it; if no token lies ahead, the run halts.
+into a token, checking that it is a pair whose ready-time compares with the
+clock and is not before it, and write it into the marking; then, when the
+state keeps a trace, append one event to it. The marking holds only
+``TimedToken``s, and the kernel builds every one an action writes, so an
+action returns plain pairs (a ``TimedToken`` is one too). A consumed token
+leaves the marking, so the action owns the values of its consumed places: it
+may update them in place and return them in its outputs. It never changes a
+read place. When nothing is enabled, the clock jumps to the smallest token
+ready-time strictly ahead of it; if no token lies ahead, the run halts.
 
 Guards must be pure predicates over (input values, clock); all state change
 belongs in actions. Same-instant conflicts are resolved by static transition
 rank (lower fires first). ``steps`` is the one loop that applies this rule,
-enabling and firing both; ``run`` exhausts it.
+enabling and firing both; ``run`` exhausts it. It reads the marking and the
+clock when the first step starts and keeps ``state`` current after every
+step. The mapping of input values that a guard and an action get is the
+kernel's own: a read-only view of exactly the transition's input places,
+valid during the call, which the kernel keeps current as it writes places
+instead of rebuilding it at every step.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 DEFAULT_STEP_LIMIT = 1_000_000
 
-#: guard(values, clock) -> bool, where values maps input place name -> token value.
+#: guard(values, clock) -> bool, where values maps input place name -> token
+#: value. The mapping is the kernel's: read-only, and valid during the call only.
 Guard = Callable[[Mapping[str, Any], int], bool]
-#: action(values, clock) -> (outputs, detail); outputs maps each consumed place
-#: to its new (value, ready_time) pair, which the kernel stores as a TimedToken.
+#: action(values, clock) -> (outputs, detail), on the same mapping its guard saw;
+#: outputs maps each consumed place to its new (value, ready_time) pair, which
+#: the kernel stores as a TimedToken.
 Action = Callable[[Mapping[str, Any], int], tuple[dict[str, tuple[Any, int]], dict]]
 
 
@@ -134,14 +143,24 @@ def steps(
     Each step fires the lowest-rank enabled transition at the current clock
     and yields it; when none is enabled, it advances the clock and yields
     None. The generator returns when no token lies ahead of the clock.
-    Deterministic: identical inputs give identical traces. Arcs are
-    resolved, and ``state.trace`` read, once per call, so a step builds only
-    the values mapping that its guard and action share, the tokens of its
-    outputs, and its event when the state keeps a trace. A guard or action
-    that raises an exception other than EngineError is reported as an
-    EngineError naming the transition and the clock; an EngineError passes
-    through unchanged. An output that is not a (value, ready_time) pair is
-    an EngineError naming the transition and the place.
+    Deterministic: identical inputs give identical traces.
+
+    The marking, the clock and ``state.trace`` are read once, when the first
+    step starts; changes made to ``state`` from outside after that are not
+    seen. From then on the kernel keeps each place's ready-time and each
+    input mapping current as it writes places, so a step rebuilds nothing.
+    ``state.marking`` and ``state.clock`` are current after every step.
+    Transitions with the same input places share one mapping. A guard or
+    action gets it as a read-only view that is valid during the call only:
+    it holds exactly the transition's input places, in no set order.
+
+    A guard or action that raises an exception other than EngineError is
+    reported as an EngineError naming the transition and the clock (writing
+    into the mapping is one); an EngineError passes through unchanged. An
+    output that is not a (value, ready_time) pair, or whose ready-time does
+    not compare with the clock, is an EngineError naming the transition and
+    the place; such an initial token is one naming the place, raised when
+    the first step starts.
 
     Raises StepLimitExceeded when the firing budget runs out, which points
     at a non-terminating net.
@@ -150,20 +169,45 @@ def steps(
     if missing:
         raise EngineError(f"initial marking does not cover place {missing[0]!r}")
 
-    marking, trace = state.marking, state.trace
-    arcs = [(t, t.guard, t.consumed + t.reads, set(t.consumed)) for t in net.transitions]
+    marking, clock, trace = state.marking, state.clock, state.trace
+    ready_at = {}
+    for name, token in marking.items():
+        try:
+            _, ready_at[name] = token
+        except (TypeError, ValueError):
+            raise EngineError(
+                f"initial marking gives place {name!r} {token!r:.40}, not a (value, ready_time) pair"
+            ) from None
+        try:
+            ready_at[name] < clock  # every later step compares it so
+        except TypeError:
+            raise EngineError(
+                f"initial marking gives place {name!r} ready-time {ready_at[name]!r:.40}, "
+                "which does not compare with the clock"
+            ) from None
+    # One mapping per distinct input set; readers[name] lists the mappings
+    # that hold place ``name``, each of which a write to it updates.
+    mappings = {}
+    readers = {name: [] for name in marking}
+    arcs = []
+    for t in net.transitions:
+        inputs = t.consumed + t.reads
+        key = frozenset(inputs)
+        if key not in mappings:
+            values = {name: marking[name][0] for name in inputs}
+            mappings[key] = MappingProxyType(values)
+            for name in values:
+                readers[name].append(values)
+        arcs.append((t, t.guard, inputs, mappings[key], set(t.consumed)))
+
     firings = 0
     while True:
-        clock = state.clock
         # Enabling: stop at the first transition, in rank order, whose input
         # tokens are all ready and whose guard holds; if none, advance the clock.
-        for t, guard, inputs, consumed in arcs:
-            values = {}
+        for t, guard, inputs, values, consumed in arcs:
             for name in inputs:
-                value, ready_time = marking[name]
-                if ready_time > clock:
+                if ready_at[name] > clock:
                     break
-                values[name] = value
             else:
                 try:
                     if guard(values, clock):
@@ -175,6 +219,7 @@ def steps(
         else:
             if advance_clock(net, state) is None:
                 return
+            clock = state.clock
             yield None
             continue
 
@@ -196,18 +241,27 @@ def steps(
             # tuple.__new__ builds the token in C, as namedtuple's _make does.
             try:
                 token = tuple.__new__(TimedToken, pair)
-                _, ready_time = token
+                value, ready_time = token
             except (TypeError, ValueError):
                 raise EngineError(
                     f"transition {t.name!r} wrote place {name!r} {pair!r:.40}, "
                     "not a (value, ready_time) pair"
                 ) from None
-            if ready_time < clock:
+            try:
+                if ready_time < clock:
+                    raise EngineError(
+                        f"transition {t.name!r} would move place {name!r} "
+                        f"back in time ({ready_time} < {clock})"
+                    )
+            except TypeError:
                 raise EngineError(
-                    f"transition {t.name!r} would move place {name!r} "
-                    f"back in time ({ready_time} < {clock})"
-                )
+                    f"transition {t.name!r} wrote place {name!r} ready-time {ready_time!r:.40}, "
+                    "which does not compare with the clock"
+                ) from None
             marking[name] = token
+            ready_at[name] = ready_time
+            for mapping in readers[name]:
+                mapping[name] = value
         if trace is not None:
             trace.append(FiringEvent(t.name, clock, detail))
         firings += 1
@@ -227,8 +281,7 @@ def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) ->
         clock=initial.clock,
         trace=None if initial.trace is None else list(initial.trace),
     )
-    for _ in steps(net, state, step_limit):
-        pass
+    deque(steps(net, state, step_limit), maxlen=0)
     return state
 
 

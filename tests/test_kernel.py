@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -86,6 +87,44 @@ def outputs_that_are_not_pairs_are_model_errors(kernel_module) -> None:
         assert str(error) == f"transition 'bad' wrote place 'cell' {output!r}, not a (value, ready_time) pair"
 
 
+def _raised(call):
+    """The exception ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as e:
+        return e
+    return None
+
+
+def ready_times_that_do_not_compare_are_model_errors(kernel_module) -> None:
+    """A ready-time that does not compare with the clock is an EngineError naming the place.
+
+    Written by an action, as the second item of ``"ab"`` or of ``(1, None)``,
+    the error names the transition too; in an initial token, it is raised
+    where ``steps`` first reads the marking.
+    """
+    k = kernel_module
+    for output, ready_time in (("ab", "'b'"), ((1, None), "None")):
+        t = k.Transition(
+            name="bad",
+            rank=0,
+            consumed=("cell",),
+            guard=lambda v, c: v["cell"] == 0,
+            action=lambda v, c, output=output: ({"cell": output}, {}),
+        )
+        net, initial = k.Net("bad", ("cell",), (t,)), k.EngineState(marking={"cell": k.TimedToken(0, 0)})
+        error = _raised(lambda: k.run(net, initial))
+        assert type(error) is k.EngineError, output
+        assert str(error) == (
+            f"transition 'bad' wrote place 'cell' ready-time {ready_time}, which does not compare with the clock"
+        )
+    t = k.Transition(name="inc", rank=0, consumed=("cell",), guard=lambda v, c: True, action=None)
+    stepper = k.steps(k.Net("late", ("cell",), (t,)), k.EngineState(marking={"cell": k.TimedToken(1, None)}))
+    error = _raised(lambda: next(stepper))
+    assert type(error) is k.EngineError
+    assert str(error) == "initial marking gives place 'cell' ready-time None, which does not compare with the clock"
+
+
 class TestEnabling:
     def test_token_availability_gates_enabling(self):
         net = counter_net()
@@ -167,6 +206,56 @@ class TestEnabling:
         t = Transition(name="inc", rank=0, consumed=("cell",), guard=guard, action=action)
         final = run(Net(name="once", places=("cell",), transitions=(t,)), counter_state())
         assert final.marking["cell"].value == 1 and len(final.trace) == 1
+
+
+    def test_guards_and_actions_see_exactly_their_input_places(self, table1):
+        # Dispatch and Idle share an input set, in another order, and
+        # overlap Activate's and Execute's; each call must see its own
+        # transition's input places, holding the values in the marking.
+        seen = []
+
+        def watched(t, state):
+            inputs = t.consumed + t.reads
+
+            def see(role, values):
+                seen.append((t.name, role, dict(values), {p: state.marking[p].value for p in inputs}))
+
+            def guard(v, clock):
+                see("guard", v)
+                return t.guard(v, clock)
+
+            def action(v, clock):
+                see("action", v)
+                return t.action(v, clock)
+
+            return dataclasses.replace(t, guard=guard, action=action)
+
+        for policy in Policy:
+            sn = build_net(table1, policy)
+            state = sn.initial_state()
+            net = Net(sn.net.name, sn.net.places, tuple(watched(t, state) for t in sn.net.transitions))
+            for _ in steps(net, state):
+                pass
+        assert {(name, role) for name, role, _, _ in seen} == {
+            (name, role) for name in ("Activate", "Execute", "Dispatch", "Idle") for role in ("guard", "action")
+        }
+        for name, role, values, marked in seen:
+            assert values == marked, (name, role)
+
+    def test_writing_into_the_mapping_is_a_model_error(self):
+        def write(v, clock):
+            v["cell"] = 5
+
+        for role in ("guard", "action"):
+            guard, action = (write, None) if role == "guard" else (lambda v, c: True, write)
+            t = Transition(name="bad", rank=0, consumed=("cell",), guard=guard, action=action)
+            with pytest.raises(EngineError) as info:
+                run(Net(name="writer", places=("cell",), transitions=(t,)), counter_state(ready=2))
+            assert type(info.value) is EngineError and isinstance(info.value.__cause__, TypeError), role
+            assert str(info.value).startswith(f"{role} of transition 'bad' failed at t=2: "), role
+
+    def test_ready_time_that_does_not_compare_is_a_model_error(self):
+        ready_times_that_do_not_compare_are_model_errors(kernel)
 
 
 class TestFiring:

@@ -46,7 +46,12 @@ from tcpnsched import (
 
 from helpers import odd_trace_records, run_on_closed_pipe
 from test_cli import HRRN_EXPECTED, calls_are_independent
-from test_kernel import outputs_that_are_not_pairs_are_model_errors, pairs_become_tokens
+from test_kernel import (
+    outputs_that_are_not_pairs_are_model_errors,
+    pairs_become_tokens,
+    ready_times_that_do_not_compare_are_model_errors,
+)
+from test_reference_kernel import kernel_agrees_with_reference
 
 
 def _results():
@@ -275,16 +280,52 @@ MUTANTS = [
     (
         "pair-length-unchecked",
         kernel,
-        "_, ready_time = token",
-        "ready_time = token[1]",
+        "value, ready_time = token",
+        "value, ready_time = token[:2]",
         outputs_that_are_not_pairs_are_model_errors,
     ),
     (
         "non-sequence-output-unchecked",
         kernel,
-        "except (TypeError, ValueError):",
-        "except ValueError:",
+        "value, ready_time = token\n            except (TypeError, ValueError):",
+        "value, ready_time = token\n            except ValueError:",
         outputs_that_are_not_pairs_are_model_errors,
+    ),
+    (
+        "written-ready-time-unchecked",
+        kernel,
+        "            except TypeError:\n                raise EngineError(\n                    f\"transition {t.name!r} wrote",
+        "            except ValueError:\n                raise EngineError(\n                    f\"transition {t.name!r} wrote",
+        ready_times_that_do_not_compare_are_model_errors,
+    ),
+    (
+        "initial-ready-time-unchecked",
+        kernel,
+        "ready_at[name] < clock  # every later step compares it so",
+        "pass",
+        ready_times_that_do_not_compare_are_model_errors,
+    ),
+    (
+        "reader-mapping-skipped",
+        kernel,
+        "for mapping in readers[name]:",
+        "for mapping in readers[name][:1]:",
+        kernel_agrees_with_reference,
+    ),
+    ("ready-at-not-updated", kernel, "            ready_at[name] = ready_time\n", "", kernel_agrees_with_reference),
+    (
+        "fired-transition-not-rechecked",
+        kernel,
+        "for t, guard, inputs, values, consumed in arcs:",
+        "for t, guard, inputs, values, consumed in [a for a in arcs if firings == 0 or a[0] is not t]:",
+        kernel_agrees_with_reference,
+    ),
+    (
+        "advance-to-second-smallest",
+        kernel,
+        "state.clock = min(future)",
+        "state.clock = (sorted(set(future))[1:] or future)[0]",
+        kernel_agrees_with_reference,
     ),
     (
         "major-comparison-swapped",
