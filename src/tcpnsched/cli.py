@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -13,7 +12,7 @@ from operator import add, itemgetter
 from pathlib import Path
 
 from .kernel import EngineError, trace_records
-from .metrics import ScheduleResult, compute_metrics, gantt_csv, result_from_processes
+from .metrics import Aggregates, ScheduleResult, compute_metrics, gantt_csv, result_from_processes
 from .oracle import diff_results, oracle_schedule, random_workload
 from .sched import simulate
 from .workload import (
@@ -100,8 +99,27 @@ def _layout(sample, indent: str) -> str:
     return text.replace("\n", "\n" + indent)
 
 
-#: One entry of the ``processes`` array, at depth 2.
-_PROCESS_LAYOUT = _layout(_process_entry(Process(0, 0, 0)), "    ")
+#: The document of a result of zeros with one process and one idle pair; each layout is made from a part.
+_ZEROS = result_json_doc(
+    ScheduleResult(Policy.FCFS, (Process(0, 0, 0),), 0, 0, ((0, 0),), Aggregates(0, 0, 0))
+)
+#: An entry of the ``idle`` and of the ``processes`` array, at depth 2, and ``aggregates``, at depth 1.
+_IDLE_LAYOUT = _layout(_ZEROS["idle"][0], "    ")
+_PROCESS_LAYOUT = _layout(_ZEROS["processes"][0], "    ")
+_AGGREGATES_LAYOUT = _layout(_ZEROS["aggregates"], "  ")
+#: The top level's text around its values, without and with ``trace``: piece i comes before value i.
+#: ``json.dumps`` escapes every control character, so a NUL marks only a slot.
+_TOP_PIECES = [
+    (_layout(dict.fromkeys(keys, 0), "") % (("\0",) * len(keys))).split("\0")
+    for keys in ([*_ZEROS], [*_ZEROS, "trace"])
+]
+_POLICY_TEXT = {policy: json.dumps(policy.value) for policy in Policy}
+
+
+def _array(entries: list[str]) -> str:
+    """A JSON array at depth 1 of these entry texts."""
+    items = ",\n    ".join(entries)
+    return f"[\n    {items}\n  ]" if entries else "[]"
 
 
 class _Column(tuple):
@@ -114,29 +132,34 @@ class _Column(tuple):
 def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     """``json.dumps(doc, indent=2)`` of ``result_json_doc(result)``, byte for byte.
 
-    A ``trace`` given (``trace_records`` of a run) is added to the document
-    under ``"trace"``; a trace value other than an int, or a list of ints in a
-    detail, raises TypeError, and so does a transition name that is a list or
-    a dict, since it keys the layouts. ``json.dumps`` writes the document
-    with both arrays empty. Each entry of either is written from a
-    ``_layout`` of its keys, each list in a trace detail from that of its
-    length, and both arrays are spliced in. The ``processes`` values come
-    from one ``_process_entry`` call over the columns of the finished
-    records.
+    A ``trace`` given (``trace_records`` of a run) is added under ``"trace"``;
+    a trace value other than an int, or a list of ints in a detail, raises
+    TypeError, and so does a transition name that is a list or a dict, since
+    it keys the layouts. Each part is filled from a ``_layout``, a ``trace``
+    entry from one of its own keys, and the parts are joined once. The
+    ``processes`` values come from one ``_process_entry`` call over the
+    columns of the finished records.
     """
-    doc = result_json_doc(dataclasses.replace(result, finished=()))
+    agg, total_idle = result.aggregates, result.total_idle
+    processes, aggregates = [], "null"
+    if result.finished:
+        pi, it, st, wt, es, pr = map(_Column, zip(*result.finished))
+        entry = _process_entry(Process(pi, it, st, wt, es, PriorityPair(*map(_Column, zip(*pr)))))
+        # The layout holds a list's items, so a list of columns gives one column per item.
+        columns = [c for value in entry.values() for c in (value if type(value) is list else (value,))]
+        processes = list(map(_PROCESS_LAYOUT.__mod__, zip(*columns)))
+    if agg is not None:
+        aggregates = _AGGREGATES_LAYOUT % (agg.avg_waiting, agg.avg_turnaround, total_idle, agg.utilization)
+    values = [_POLICY_TEXT[result.policy], str(result.makespan), str(result.lead_in), str(total_idle)]
+    values += _array(list(map(_IDLE_LAYOUT.__mod__, result.idle_intervals))), _array(processes), aggregates
     if trace is not None:
-        doc["trace"] = []
-    text = json.dumps(doc, indent=2)
-    # A JSON string holds no raw newline, so only the top-level keys match.
-    if trace:
         layouts: dict[tuple, str] = {}
         lists: dict[int, str] = {}
         entries = []
         for t, transition, detail in map(itemgetter("t", "transition", "detail"), trace):
             if type(t) is not int:
                 raise TypeError(f"trace record of {transition!r}: 't' is {t!r:.40}, not an integer")
-            values = [t]
+            fill = [t]
             for key, value in detail.items():
                 if type(value) is not int:
                     if type(value) is not list or not set(map(type, value)) <= {int}:
@@ -145,7 +168,7 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
                     # A list in a detail lies at depth 4.
                     n = len(value)
                     value = (lists.get(n) or lists.setdefault(n, _layout([0] * n, " " * 8))) % tuple(value)
-                values.append(value)
+                fill.append(value)
             # Types tell apart names and keys that compare equal but print apart: 0, False and 0.0.
             shape = (type(transition), transition, *detail, *map(type, detail))
             if shape not in layouts:
@@ -153,17 +176,10 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
                 # The name goes in after the 0s became slots, so a 0 in it stays a 0.
                 name = json.dumps(transition, indent=2).replace("%", "%%").replace("\n", "\n" + " " * 6)
                 layouts[shape] = _layout(sample, "    ").replace('"transition": ""', f'"transition": {name}', 1)
-            entries.append(layouts[shape] % tuple(values))
-        array = ",\n    ".join(entries)
-        text = text.replace('\n  "trace": []', f'\n  "trace": [\n    {array}\n  ]', 1)
-    if result.finished:
-        pi, it, st, wt, es, pr = map(_Column, zip(*result.finished))
-        entry = _process_entry(Process(pi, it, st, wt, es, PriorityPair(*map(_Column, zip(*pr)))))
-        # The layout holds a list's items, so a list of columns gives one column per item.
-        columns = [c for value in entry.values() for c in (value if type(value) is list else (value,))]
-        array = ",\n    ".join(map(_PROCESS_LAYOUT.__mod__, zip(*columns)))
-        text = text.replace('\n  "processes": []', f'\n  "processes": [\n    {array}\n  ]', 1)
-    return text
+            entries.append(layouts[shape] % tuple(fill))
+        values.append(_array(entries))
+    pieces = _TOP_PIECES[trace is not None]
+    return "".join([text for pair in zip(pieces, values) for text in pair] + pieces[-1:])
 
 
 def _result_table(result: ScheduleResult) -> str:

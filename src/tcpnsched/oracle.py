@@ -116,7 +116,7 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
         else:
             (major, minor, _), best = heapq.heappop(ready)
             pr = PriorityPair(-major if policy is Policy.PR else major, minor)
-        finished.append(Process(pi=best.pi, it=best.it, st=best.st, wt=t - best.it, es=t, pr=pr))
+        finished.append(Process(best.pi, best.it, best.st, t - best.it, t, pr))
         t += best.st
     return finished
 

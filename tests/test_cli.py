@@ -65,6 +65,10 @@ HRRN_EXPECTED = {
 }
 
 
+#: 200 processes 100 ticks apart, each shorter than its gap: 199 idle intervals.
+GAPS = json.dumps([{"pi": i, "it": 100 * i, "st": 1 + i % 50} for i in range(1, 201)])
+
+
 def invoke(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -333,8 +337,8 @@ class TestJsonWriter:
     @pytest.mark.parametrize("engine", ["cpn", "oracle"])
     @pytest.mark.parametrize(
         "text",
-        ["[]", '[{"pi": 1, "it": %d, "st": %d}]' % (2**1022, 2**1021)],
-        ids=["empty", "huge"],
+        ["[]", '[{"pi": 1, "it": %d, "st": %d}]' % (2**1022, 2**1021), GAPS],
+        ids=["empty", "huge", "gaps"],
     )
     def test_run_prints_json_dumps(self, capsys, tmp_path, engine, text):
         path = tmp_path / "w.json"
@@ -351,16 +355,25 @@ class TestJsonWriter:
             assert out == json.dumps(cli.result_json_doc(result), indent=2) + "\n"
             if not w.processes:
                 assert '\n  "processes": [],\n' in out
+            assert len(result.idle_intervals) == (199 if text == GAPS else 0)
 
     @pytest.mark.parametrize("policy", list(Policy))
-    def test_trace_run_prints_json_dumps(self, capsys, policy):
-        code, out, err = invoke(capsys, "run", "--policy", policy.value, "--trace")
-        assert code == 0, err
-        w = builtin_paper_workload()
-        state = simulate(w, policy)
-        doc = cli.result_json_doc(compute_metrics(state, w, policy))
-        doc["trace"] = trace_records(state.trace)
-        assert out == json.dumps(doc, indent=2) + "\n"
+    def test_trace_run_prints_json_dumps(self, capsys, tmp_path, policy):
+        path = tmp_path / "w.json"
+        for text in (None, "[]", GAPS):
+            if text is not None:
+                path.write_text(text)
+            source = "paper-table1" if text is None else str(path)
+            code, out, err = invoke(capsys, "run", "--workload", source, "--policy", policy.value, "--trace")
+            assert code == 0, err
+            w = builtin_paper_workload() if text is None else parse_workload(text)
+            state = simulate(w, policy)
+            doc = cli.result_json_doc(compute_metrics(state, w, policy))
+            doc["trace"] = trace_records(state.trace)
+            assert out == json.dumps(doc, indent=2) + "\n"
+            if text == "[]":
+                for empty in ('"idle": []', '"processes": []', '"aggregates": null', '"trace": []'):
+                    assert f"\n  {empty}" in out
 
 
 class TestErrorPaths:

@@ -38,6 +38,7 @@ from tcpnsched import (
     diff_results,
     kernel,
     oracle,
+    parse_workload,
     sched,
     simulate,
     trace_records,
@@ -45,7 +46,7 @@ from tcpnsched import (
 )
 
 from helpers import odd_trace_records, run_on_closed_pipe
-from test_cli import HRRN_EXPECTED, calls_are_independent
+from test_cli import GAPS, HRRN_EXPECTED, calls_are_independent
 from test_kernel import (
     outputs_that_are_not_pairs_are_model_errors,
     pairs_become_tokens,
@@ -63,7 +64,11 @@ def _results():
 
 
 def processes_are_json_dumps(cli_module) -> None:
-    for result, _ in _results():
+    """The document of paper-table1, of the empty workload and of ``GAPS`` is ``json.dumps``'s."""
+    results = [result for result, _ in _results()]
+    for w in (parse_workload("[]"), parse_workload(GAPS)):
+        results += [compute_metrics(simulate(w, policy), w, policy) for policy in Policy]
+    for result in results:
         assert cli_module.result_json_text(result) == json.dumps(cli_module.result_json_doc(result), indent=2)
 
 
@@ -180,10 +185,32 @@ MUTANTS = [
     (
         "process-layout-space",
         cli,
-        '_layout(_process_entry(Process(0, 0, 0)), "    ")',
-        '_layout(_process_entry(Process(0, 0, 0)), "     ")',
+        '_layout(_ZEROS["processes"][0], "    ")',
+        '_layout(_ZEROS["processes"][0], "     ")',
         processes_are_json_dumps,
     ),
+    (
+        "idle-pair-too-shallow",
+        cli,
+        '_layout(_ZEROS["idle"][0], "    ")',
+        '_layout(_ZEROS["idle"][0], "  ")',
+        processes_are_json_dumps,
+    ),
+    (
+        "aggregates-too-shallow",
+        cli,
+        '_layout(_ZEROS["aggregates"], "  ")',
+        '_layout(_ZEROS["aggregates"], "")',
+        processes_are_json_dumps,
+    ),
+    (
+        "aggregates-out-of-key-order",
+        cli,
+        "(agg.avg_waiting, agg.avg_turnaround, total_idle,",
+        "(agg.avg_turnaround, agg.avg_waiting, total_idle,",
+        processes_are_json_dumps,
+    ),
+    ("empty-array-bracketed", cli, 'if entries else "[]"', 'if entries else "[\\n  ]"', processes_are_json_dumps),
     (
         "finish-turnaround-swapped",
         cli,
