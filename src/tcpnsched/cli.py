@@ -8,7 +8,7 @@ import json
 import os
 import re
 import sys
-from operator import add, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from .kernel import EngineError, trace_records
@@ -17,10 +17,10 @@ from .oracle import diff_results, oracle_schedule, random_workload
 from .sched import simulate
 from .workload import (
     Policy,
-    PriorityPair,
     Process,
     Workload,
     WorkloadError,
+    _process_columns,
     builtin_paper_workload,
     parse_workload,
 )
@@ -46,8 +46,9 @@ def _load_workload(source: str) -> Workload:
 def _process_entry(p: Process) -> dict:
     """The document's entry for one finished process.
 
-    Called on a ``Process`` of ``_Column``s, it gives the values of every
-    entry at once, so a value may combine fields only with ``+``.
+    Called on ``workload._process_columns`` of the records, it gives the
+    values of every entry at once, so a value may combine fields only with
+    ``+``, as ``Process.finish`` and ``Process.turnaround`` do.
     """
     return {
         "pi": p.pi,
@@ -55,8 +56,8 @@ def _process_entry(p: Process) -> dict:
         "st": p.st,
         "wt": p.wt,
         "es": p.es,
-        "finish": p.es + p.st,
-        "turnaround": p.wt + p.st,
+        "finish": p.finish,
+        "turnaround": p.turnaround,
         "pr": [p.pr.major, p.pr.minor],
     }
 
@@ -122,13 +123,6 @@ def _array(entries: list[str]) -> str:
     return f"[\n    {items}\n  ]" if entries else "[]"
 
 
-class _Column(tuple):
-    """One field of many records, in order; ``+`` adds two columns item by item."""
-
-    def __add__(self, other: tuple) -> "_Column":
-        return _Column(map(add, self, other))
-
-
 def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     """``json.dumps(doc, indent=2)`` of ``result_json_doc(result)``, byte for byte.
 
@@ -143,8 +137,7 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     agg, total_idle = result.aggregates, result.total_idle
     processes, aggregates = [], "null"
     if result.finished:
-        pi, it, st, wt, es, pr = map(_Column, zip(*result.finished))
-        entry = _process_entry(Process(pi, it, st, wt, es, PriorityPair(*map(_Column, zip(*pr)))))
+        entry = _process_entry(_process_columns(result.finished))
         # The layout holds a list's items, so a list of columns gives one column per item.
         columns = [c for value in entry.values() for c in (value if type(value) is list else (value,))]
         processes = list(map(_PROCESS_LAYOUT.__mod__, zip(*columns)))
@@ -188,7 +181,7 @@ def _result_table(result: ScheduleResult) -> str:
     for p in result.finished:
         pr = f"({p.pr.major},{p.pr.minor})"
         lines.append(
-            f"{p.pi:>4} {p.it:>4} {p.st:>4} {p.wt:>4} {p.es:>4} {p.es + p.st:>7} {p.wt + p.st:>11} {pr:>12}"
+            f"{p.pi:>4} {p.it:>4} {p.st:>4} {p.wt:>4} {p.es:>4} {p.finish:>7} {p.turnaround:>11} {pr:>12}"
         )
     lines.append("-" * len(header))
     lines.append(f"makespan: {result.makespan}  lead-in: {result.lead_in}  idle: {result.total_idle}")

@@ -5,12 +5,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import add, attrgetter, lt
+from operator import attrgetter, lt
 from typing import Sequence
 
 from .kernel import EngineError, EngineState
 from .sched import FINISHED
-from .workload import Policy, Process, Workload
+from .workload import Policy, Process, Workload, _process_columns
 
 _pi, _it = attrgetter("pi"), attrgetter("it")
 
@@ -48,9 +48,11 @@ def result_from_processes(
 ) -> ScheduleResult:
     """Build a ScheduleResult from completed process records.
 
-    Each record must carry its stamped es/wt; start = es, finish = es + st,
-    turnaround = wt + st. Idle intervals are the maximal gaps between
-    consecutive execution intervals within [lead_in, makespan].
+    Each record must carry its stamped es/wt. A run spans [es, finish), and
+    the aggregates average ``wt`` and ``turnaround``; ``Process.finish`` and
+    ``Process.turnaround`` are read over columns of all the records at once.
+    Idle intervals are the maximal gaps between consecutive execution
+    intervals within [lead_in, makespan].
     """
     # A Workload's indexes are unique, so equal lengths and equal index sets
     # mean that each process finished exactly once.
@@ -71,8 +73,8 @@ def result_from_processes(
             aggregates=None,
         )
 
-    _, _, st, wt, es, _ = zip(*finished)
-    ends = list(map(add, es, st))
+    columns = _process_columns(finished)
+    es, ends = columns.es, columns.finish
     lead_in = min(map(_it, w.processes))
     makespan = max(ends)
 
@@ -82,11 +84,10 @@ def result_from_processes(
     idle = list(compress(zip(cursors, starts), map(lt, cursors, starts)))
 
     n = len(finished)
-    total_service, total_wait = sum(st), sum(wt)
     aggregates = Aggregates(
-        avg_waiting=total_wait / n,
-        avg_turnaround=(total_wait + total_service) / n,
-        utilization=total_service / (makespan - lead_in),
+        avg_waiting=sum(columns.wt) / n,
+        avg_turnaround=sum(columns.turnaround) / n,
+        utilization=sum(columns.st) / (makespan - lead_in),
     )
     return ScheduleResult(
         policy=policy,
@@ -110,7 +111,7 @@ def gantt_csv(result: ScheduleResult) -> str:
     One row per run and per idle gap, sorted by start, tiling
     [lead_in, makespan].
     """
-    rows = [(p.es, f"run,{p.pi},{p.es},{p.es + p.st}") for p in result.finished]
+    rows = [(p.es, f"run,{p.pi},{p.es},{p.finish}") for p in result.finished]
     rows.extend((s, f"idle,,{s},{e}") for s, e in result.idle_intervals)
     rows.sort(key=lambda row: row[0])
     return "\n".join(["kind,pi,start,finish", *(line for _, line in rows)]) + "\n"

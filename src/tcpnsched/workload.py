@@ -9,8 +9,8 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
-from operator import itemgetter, methodcaller
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Any, IO, Iterable, NamedTuple
 
 
@@ -70,6 +70,33 @@ class Process(NamedTuple):
     wt: int = 0
     es: int = 0
     pr: PriorityPair = PriorityPair(0, 0)
+
+    @property
+    def finish(self) -> int:
+        """Completion time: execution start plus service time."""
+        return self.es + self.st
+
+    @property
+    def turnaround(self) -> int:
+        """Time from arrival to completion: waiting time plus service time."""
+        return self.wt + self.st
+
+
+class _Column(tuple):
+    """One field of many records, in order; ``+`` adds two columns item by item."""
+
+    def __add__(self, other: tuple) -> "_Column":
+        return _Column(map(add, self, other))
+
+
+def _process_columns(records: Iterable[Process]) -> Process:
+    """One ``Process`` whose fields are the columns of the non-empty ``records``.
+
+    Its ``finish`` and ``turnaround`` are then columns too, item i of each
+    being that of record i.
+    """
+    pi, it, st, wt, es, pr = map(_Column, zip(*records))
+    return Process(pi, it, st, wt, es, PriorityPair(*map(_Column, zip(*pr))))
 
 
 @dataclass(frozen=True)
@@ -208,57 +235,6 @@ def _processes(pi: list[int], it: list[int], st: list[int], priority: list[int])
     return list(map(Process._make, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
 
 
-def _check_entries(data: list) -> None:
-    """Raise the first error in entry order: a non-object, a bad field name or a non-integer value.
-
-    Returns only when every entry is valid, which ``_parse_json`` treats as a
-    disagreement with ``_columns``.
-    """
-    # Most files give every entry the same keys in the same order, so each
-    # order is checked once; a duplicate key never gets past this check.
-    checked: set[tuple[str, ...]] = set()
-    for i, entry in enumerate(data):
-        if not isinstance(entry, tuple):
-            raise WorkloadError(f"entry {i}: expected an object, got {type(entry).__name__}")
-        names = tuple(map(itemgetter(0), entry))
-        if names not in checked:
-            _check_names(names, f"entry {i}", "field")
-            checked.add(names)
-        for name, value in entry:
-            # bool is an int subclass, and true/false is a schema error;
-            # json.loads makes no other int subclass.
-            if type(value) is not int:
-                raise _not_an_integer(value, name, f"entry {i}")
-
-
-def _names_valid(names: tuple[str, ...]) -> bool:
-    """Whether ``_check_names`` accepts one entry's field names."""
-    try:
-        _check_names(names, "", "field")
-    except WorkloadError:
-        return False
-    return True
-
-
-def _columns(data: list) -> list[list[int]] | None:
-    """The pi, it, st and priority columns of the entries; None if any entry is invalid.
-
-    Each check runs over the whole array; ``_check_entries`` finds and words
-    the first error of an array this rejects.
-    """
-    if not set(map(type, data)) <= {tuple}:
-        return None
-    entries = list(map(dict, data))
-    # dict() keeps one value of a repeated key, so a repeat shortens its entry.
-    if sum(map(len, entries)) != sum(map(len, data)) or not all(map(_names_valid, set(map(tuple, entries)))):
-        return None
-    columns = [list(map(itemgetter(name), entries)) for name in _REQUIRED_FIELDS]
-    columns.append(list(map(methodcaller("get", "priority", 0), entries)))
-    if not set(map(type, chain.from_iterable(columns))) <= {int}:
-        return None
-    return columns
-
-
 def _parse_json(text: str) -> list[Process]:
     try:
         # Objects decode to tuples of (key, value) pairs, so that a repeated
@@ -278,11 +254,31 @@ def _parse_json(text: str) -> list[Process]:
         raise WorkloadError("invalid JSON: nested too deeply") from None
     if not isinstance(data, list):
         raise WorkloadError("workload JSON must be an array of process objects")
-    columns = _columns(data)
-    if columns is None:
-        _check_entries(data)
-        raise AssertionError("the column checks rejected entries that _check_entries accepts")
-    return _processes(*columns)
+    # One pass checks each entry and appends its values to the columns, so
+    # the first error in entry order is the one raised. Most files give every
+    # entry the same keys in the same order, so each order is checked once.
+    # A repeated key makes the dict shorter than the entry, so its order is
+    # checked too, and fails.
+    pi, it, st, priority = [], [], [], []
+    checked: set[tuple[str, ...]] = set()
+    for i, entry in enumerate(data):
+        if type(entry) is not tuple:
+            raise WorkloadError(f"entry {i}: expected an object, got {type(entry).__name__}")
+        fields = dict(entry)
+        names = tuple(fields)
+        if names not in checked or len(names) != len(entry):
+            _check_names(map(itemgetter(0), entry), f"entry {i}", "field")
+            checked.add(names)
+        for name, value in entry:
+            # bool is an int subclass, and true/false is a schema error;
+            # json.loads makes no other int subclass.
+            if type(value) is not int:
+                raise _not_an_integer(value, name, f"entry {i}")
+        pi.append(fields["pi"])
+        it.append(fields["it"])
+        st.append(fields["st"])
+        priority.append(fields.get("priority", 0))
+    return _processes(pi, it, st, priority)
 
 
 def _parse_csv(text: str) -> list[Process]:

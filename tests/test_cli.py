@@ -120,6 +120,31 @@ def calls_are_independent(cli_module) -> None:
         assert ('"transition"' in out) == ("--trace" in argv and code == 0), argv
 
 
+def table_and_gantt_agree_with_document(cli_module) -> None:
+    """On paper-table1 and ``GAPS`` under each policy, the table and the Gantt rows carry the document's times.
+
+    Each table row has the ``finish`` and ``turnaround`` of the JSON
+    document's entry for its ``pi``, and each Gantt ``run`` row its ``es`` and
+    ``finish``.
+    """
+    for w in (builtin_paper_workload(), parse_workload(GAPS)):
+        for policy in Policy:
+            result = compute_metrics(simulate(w, policy, trace=False), w, policy)
+            doc = {entry["pi"]: entry for entry in json.loads(cli_module.result_json_text(result))["processes"]}
+            lines = cli_module._result_table(result).splitlines()
+            # The rows lie between the rule under the header and the next rule.
+            rows = [line.split() for line in lines[3 : lines.index(lines[2], 3)]]
+            assert sorted(int(row[0]) for row in rows) == sorted(doc), policy
+            for pi, _, _, _, _, finish, turnaround, _ in rows:
+                entry = doc[int(pi)]
+                assert (int(finish), int(turnaround)) == (entry["finish"], entry["turnaround"]), (policy, pi)
+            runs = [line.split(",")[1:] for line in cli_module.gantt_csv(result).splitlines() if line.startswith("run,")]
+            assert sorted(int(pi) for pi, _, _ in runs) == sorted(doc), policy
+            for pi, start, finish in runs:
+                entry = doc[int(pi)]
+                assert (int(start), int(finish)) == (entry["es"], entry["finish"]), (policy, pi)
+
+
 class TestRun:
     def test_hrrn_json_golden(self, capsys):
         code, out, _ = invoke(capsys, "run", "--policy", "hrrn", "--workload", "paper-table1", "--format", "json")
@@ -143,6 +168,9 @@ class TestRun:
         code, out, _ = invoke(capsys, "run", "--policy", "sjf", "--format", "table")
         assert code == 0
         assert "makespan: 19" in out
+
+    def test_table_and_gantt_agree_with_document(self):
+        table_and_gantt_agree_with_document(cli)
 
     def test_trace_embedded_in_json(self, capsys):
         code, out, _ = invoke(capsys, "run", "--policy", "fcfs", "--format", "json", "--trace")

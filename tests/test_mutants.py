@@ -46,7 +46,7 @@ from tcpnsched import (
 )
 
 from helpers import odd_trace_records, run_on_closed_pipe
-from test_cli import GAPS, HRRN_EXPECTED, calls_are_independent
+from test_cli import GAPS, HRRN_EXPECTED, calls_are_independent, table_and_gantt_agree_with_document
 from test_kernel import (
     outputs_that_are_not_pairs_are_model_errors,
     pairs_become_tokens,
@@ -80,10 +80,49 @@ def trace_is_json_dumps(cli_module) -> None:
             assert cli_module.result_json_text(result, records) == json.dumps(doc, indent=2)
 
 
-def hrrn_document_is_golden(cli_module) -> None:
+def finish_and_turnaround_are_golden(workload_module) -> None:
+    """The HRRN records of paper-table1, rebuilt as the module's ``Process``, have ``HRRN_EXPECTED``'s times."""
     table1 = builtin_paper_workload()
-    result = compute_metrics(simulate(table1, Policy.HRRN), table1, Policy.HRRN)
-    assert json.loads(cli_module.result_json_text(result)) == HRRN_EXPECTED
+    finished = compute_metrics(simulate(table1, Policy.HRRN), table1, Policy.HRRN).finished
+    got = [(p.finish, p.turnaround) for p in map(workload_module.Process._make, finished)]
+    assert got == [(entry["finish"], entry["turnaround"]) for entry in HRRN_EXPECTED["processes"]]
+
+
+def _parsed(workload_module, text: str):
+    """The processes ``parse_workload`` makes of ``text``, or the message of its WorkloadError.
+
+    Any other exception fails the check by assertion, so a mutant that
+    raises, say, ``KeyError`` dies as one that parses wrongly does.
+    """
+    try:
+        return workload_module.parse_workload(text).processes
+    except workload_module.WorkloadError as e:
+        return str(e)
+    except Exception as e:
+        raise AssertionError(f"{text!r} raised {e!r}") from e
+
+
+#: Arrays whose second entry is bad, with the message each must give; the
+#: first entry's key order is a valid one, so it is checked before.
+BAD_SECOND_ENTRIES = [
+    ('[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 0}]', "entry 1: missing field 'st'"),
+    ('[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 0, "st": 1, "wt": 0}]', "entry 1: unknown field 'wt'"),
+    ('[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 0, "st": 1, "st": 2}]', "entry 1: duplicate field 'st'"),
+    ('[{"pi": 1, "it": 0, "st": 1}, 7]', "entry 1: expected an object, got int"),
+    ('[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 0, "st": true}]', "entry 1: field 'st' must be an integer, got true"),
+]
+
+
+def later_entries_are_checked(workload_module) -> None:
+    """An entry after the first is checked as fully as the first: its kind, its keys and its values."""
+    for text, message in BAD_SECOND_ENTRIES:
+        assert _parsed(workload_module, text) == message
+
+
+def default_priority_keeps_columns_in_step(workload_module) -> None:
+    """An entry without ``priority`` gets 0, and the entry after it keeps its own."""
+    text = '[{"pi": 1, "it": 0, "st": 1}, {"pi": 2, "it": 0, "st": 1, "priority": 5}]'
+    assert _parsed(workload_module, text) == (Process(1, 0, 1), Process(2, 0, 1, pr=PriorityPair(5, 0)))
 
 
 def _report(workload_module, *rows) -> str:
@@ -213,12 +252,23 @@ MUTANTS = [
     ("empty-array-bracketed", cli, 'if entries else "[]"', 'if entries else "[\\n  ]"', processes_are_json_dumps),
     (
         "finish-turnaround-swapped",
-        cli,
-        '"finish": p.es + p.st,\n        "turnaround": p.wt + p.st,',
-        '"finish": p.wt + p.st,\n        "turnaround": p.es + p.st,',
-        hrrn_document_is_golden,
+        workload,
+        "self.es + self.st\n\n    @property\n    def turnaround(self) -> int:\n"
+        '        """Time from arrival to completion: waiting time plus service time."""\n'
+        "        return self.wt + self.st",
+        "self.wt + self.st\n\n    @property\n    def turnaround(self) -> int:\n"
+        '        """Time from arrival to completion: waiting time plus service time."""\n'
+        "        return self.es + self.st",
+        finish_and_turnaround_are_golden,
     ),
-    ("finish-from-waiting-time", cli, '"finish": p.es + p.st', '"finish": p.wt + p.st', hrrn_document_is_golden),
+    ("finish-from-waiting-time", workload, "return self.es + self.st", "return self.wt + self.st", finish_and_turnaround_are_golden),
+    (
+        "table-finish-turnaround-swapped",
+        cli,
+        "{p.finish:>7} {p.turnaround:>11}",
+        "{p.turnaround:>7} {p.finish:>11}",
+        table_and_gantt_agree_with_document,
+    ),
     ("trace-item-separator", cli, '_layout([0] * n, " " * 8)', '_layout([0] * n, " " * 7)', trace_is_json_dumps),
     (
         "trace-name-type-dropped",
@@ -229,6 +279,22 @@ MUTANTS = [
     ),
     ("trace-key-type-dropped", cli, ", *map(type, detail))", ")", trace_is_json_dumps),
     ("trace-empty-list-bracketed", cli, "_layout([0] * n,", "_layout([0] * n or [[]],", trace_is_json_dumps),
+    ("key-order-checked-once", workload, "if names not in checked or", "if not checked or", later_entries_are_checked),
+    ("repeated-key-unchecked", workload, " or len(names) != len(entry):", ":", later_entries_are_checked),
+    (
+        "non-object-entry-unchecked",
+        workload,
+        '        if type(entry) is not tuple:\n            raise WorkloadError(f"entry {i}: expected an object',
+        '        if False:\n            raise WorkloadError(f"entry {i}: expected an object',
+        later_entries_are_checked,
+    ),
+    (
+        "default-priority-not-appended",
+        workload,
+        'priority.append(fields.get("priority", 0))',
+        '"priority" in fields and priority.append(fields["priority"])',
+        default_priority_keeps_columns_in_step,
+    ),
     (
         "arrival-floor-dropped",
         workload,
