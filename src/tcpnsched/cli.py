@@ -48,7 +48,8 @@ def _process_entry(p: Process) -> dict:
 
     Called on ``workload._process_columns`` of the records, it gives the
     values of every entry at once, so a value may combine fields only with
-    ``+``, as ``Process.finish`` and ``Process.turnaround`` do.
+    ``+``, as ``Process.finish`` and ``Process.turnaround`` do. Its ``pr``
+    is then the list of the records' pairs.
     """
     return {
         "pi": p.pi,
@@ -58,7 +59,7 @@ def _process_entry(p: Process) -> dict:
         "es": p.es,
         "finish": p.finish,
         "turnaround": p.turnaround,
-        "pr": [p.pr.major, p.pr.minor],
+        "pr": list(p.pr),
     }
 
 
@@ -104,17 +105,12 @@ def _layout(sample, indent: str) -> str:
 _ZEROS = result_json_doc(
     ScheduleResult(Policy.FCFS, (Process(0, 0, 0),), 0, 0, ((0, 0),), Aggregates(0, 0, 0))
 )
-#: An entry of the ``idle`` and of the ``processes`` array, at depth 2, and ``aggregates``, at depth 1.
+#: An entry of the ``idle`` and of the ``processes`` array, at depth 2, ``aggregates``, at depth 1,
+#: and the top level, without and with ``trace``.
 _IDLE_LAYOUT = _layout(_ZEROS["idle"][0], "    ")
 _PROCESS_LAYOUT = _layout(_ZEROS["processes"][0], "    ")
 _AGGREGATES_LAYOUT = _layout(_ZEROS["aggregates"], "  ")
-#: The top level's text around its values, without and with ``trace``: piece i comes before value i.
-#: ``json.dumps`` escapes every control character, so a NUL marks only a slot.
-_TOP_PIECES = [
-    (_layout(dict.fromkeys(keys, 0), "") % (("\0",) * len(keys))).split("\0")
-    for keys in ([*_ZEROS], [*_ZEROS, "trace"])
-]
-_POLICY_TEXT = {policy: json.dumps(policy.value) for policy in Policy}
+_TOP_LAYOUTS = [_layout(dict.fromkeys(keys, 0), "") for keys in ([*_ZEROS], [*_ZEROS, "trace"])]
 
 
 def _array(entries: list[str]) -> str:
@@ -129,30 +125,30 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     A ``trace`` given (``trace_records`` of a run) is added under ``"trace"``;
     a trace value other than an int, or a list of ints in a detail, raises
     TypeError, and so does a transition name that is a list or a dict, since
-    it keys the layouts. Each part is filled from a ``_layout``, a ``trace``
-    entry from one of its own keys, and the parts are joined once. The
+    it keys the layouts. Every part, the top level too, is a ``_layout``
+    filled by ``%``; a trace name fills a slot of its entry's layout. The
     ``processes`` values come from one ``_process_entry`` call over the
-    columns of the finished records.
+    columns of the finished records; only here are ``pr`` pairs transposed.
     """
     agg, total_idle = result.aggregates, result.total_idle
     processes, aggregates = [], "null"
     if result.finished:
         entry = _process_entry(_process_columns(result.finished))
-        # The layout holds a list's items, so a list of columns gives one column per item.
-        columns = [c for value in entry.values() for c in (value if type(value) is list else (value,))]
+        # The layout holds a list's items, so a list of the records' lists gives one column per item.
+        columns = [c for value in entry.values() for c in (zip(*value) if type(value) is list else (value,))]
         processes = list(map(_PROCESS_LAYOUT.__mod__, zip(*columns)))
     if agg is not None:
         aggregates = _AGGREGATES_LAYOUT % (agg.avg_waiting, agg.avg_turnaround, total_idle, agg.utilization)
-    values = [_POLICY_TEXT[result.policy], str(result.makespan), str(result.lead_in), str(total_idle)]
+    values = [json.dumps(result.policy.value), result.makespan, result.lead_in, total_idle]
     values += _array(list(map(_IDLE_LAYOUT.__mod__, result.idle_intervals))), _array(processes), aggregates
     if trace is not None:
-        layouts: dict[tuple, str] = {}
+        layouts: dict[tuple, tuple[str, str]] = {}
         lists: dict[int, str] = {}
         entries = []
         for t, transition, detail in map(itemgetter("t", "transition", "detail"), trace):
             if type(t) is not int:
                 raise TypeError(f"trace record of {transition!r}: 't' is {t!r:.40}, not an integer")
-            fill = [t]
+            fill = [t, None]
             for key, value in detail.items():
                 if type(value) is not int:
                     if type(value) is not list or not set(map(type, value)) <= {int}:
@@ -165,14 +161,13 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
             # Types tell apart names and keys that compare equal but print apart: 0, False and 0.0.
             shape = (type(transition), transition, *detail, *map(type, detail))
             if shape not in layouts:
-                sample = {"t": 0, "transition": "", "detail": dict.fromkeys(detail, 0)}
-                # The name goes in after the 0s became slots, so a 0 in it stays a 0.
-                name = json.dumps(transition, indent=2).replace("%", "%%").replace("\n", "\n" + " " * 6)
-                layouts[shape] = _layout(sample, "    ").replace('"transition": ""', f'"transition": {name}', 1)
-            entries.append(layouts[shape] % tuple(fill))
+                sample = {"t": 0, "transition": 0, "detail": dict.fromkeys(detail, 0)}
+                name = json.dumps(transition, indent=2).replace("\n", "\n" + " " * 6)
+                layouts[shape] = _layout(sample, "    "), name
+            layout, fill[1] = layouts[shape]
+            entries.append(layout % tuple(fill))
         values.append(_array(entries))
-    pieces = _TOP_PIECES[trace is not None]
-    return "".join([text for pair in zip(pieces, values) for text in pair] + pieces[-1:])
+    return _TOP_LAYOUTS[trace is not None] % tuple(values)
 
 
 def _result_table(result: ScheduleResult) -> str:

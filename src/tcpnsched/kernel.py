@@ -271,13 +271,22 @@ def steps(
 def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
     """Exhaust ``steps`` on a copy of ``initial`` and return the final state.
 
-    Each initial token value is shallow-copied once, so actions that update
-    their values in place leave ``initial`` untouched. The final state
-    keeps a trace, starting from a copy of the initial one, only if
-    ``initial`` keeps one. Raises StepLimitExceeded as ``steps`` does.
+    An initial token may be any (value, ready_time) pair, as in ``steps``;
+    one that is not a pair is passed on as it is, for ``steps`` to reject.
+    Each value is shallow-copied once, so actions that update their values
+    in place leave ``initial`` untouched. The final state keeps a trace,
+    starting from a copy of the initial one, only if ``initial`` keeps one.
+    Raises StepLimitExceeded as ``steps`` does.
     """
+    marking = dict(initial.marking)
+    for place, token in marking.items():
+        try:
+            value, ready = token
+        except (TypeError, ValueError):
+            continue
+        marking[place] = TimedToken(copy.copy(value), ready)
     state = EngineState(
-        marking={p: TimedToken(copy.copy(t.value), t.ready_time) for p, t in initial.marking.items()},
+        marking=marking,
         clock=initial.clock,
         trace=None if initial.trace is None else list(initial.trace),
     )

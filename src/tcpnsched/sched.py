@@ -72,7 +72,6 @@ HRRN_SCALE = 100
 
 _service = attrgetter("st")
 _service_arrival = attrgetter("st", "it")
-_hrrn_order = attrgetter("st", "it", "pi")
 
 
 def exists_arrived(l: list[Process], now: int) -> bool:
@@ -221,9 +220,10 @@ def _policy_net(policy: Policy) -> Net:
 
     # FCFS, SJF and PR priorities ignore the clock: those ReadyQueues stay
     # sorted ascending by compare_process, so the best process is last.
-    # HRRN's ReadyQueue holds unstamped records sorted by (st, it, pi).
+    # HRRN's ReadyQueue holds unstamped records sorted by (st, it, pi): each
+    # arrival follows every queued record in (it, pi), so it ends its st run.
     hrrn = policy is Policy.HRRN
-    order = _hrrn_order if hrrn else cmp_to_key(lambda a, b: compare_process(a, b, policy))
+    order = _service if hrrn else cmp_to_key(lambda a, b: compare_process(a, b, policy))
 
     def activate_action(v, clock):
         new, ready = v[NEW_TASKS], v[READY_QUEUE]

@@ -93,10 +93,9 @@ def _process_columns(records: Iterable[Process]) -> Process:
     """One ``Process`` whose fields are the columns of the non-empty ``records``.
 
     Its ``finish`` and ``turnaround`` are then columns too, item i of each
-    being that of record i.
+    being that of record i; its ``pr`` is the column of the records' pairs.
     """
-    pi, it, st, wt, es, pr = map(_Column, zip(*records))
-    return Process(pi, it, st, wt, es, PriorityPair(*map(_Column, zip(*pr))))
+    return Process(*map(_Column, zip(*records)))
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,36 @@ def ready_times_that_do_not_compare_are_model_errors(kernel_module) -> None:
     assert str(error) == "initial marking gives place 'cell' ready-time None, which does not compare with the clock"
 
 
+def initial_pairs_become_tokens(kernel_module) -> None:
+    """``run`` takes an initial plain pair as it takes a TimedToken.
+
+    Both end with the same marking, clock and trace, the final marking holds
+    only TimedTokens, and the list in ``initial``, which the action appends
+    to, is left as it was. An exception from ``run`` fails the check by
+    assertion.
+    """
+    k = kernel_module
+
+    def action(v, clock):
+        v["cell"].append(clock)
+        return {"cell": (v["cell"], clock + 1)}, {"count": len(v["cell"])}
+
+    t = k.Transition(name="grow", rank=0, consumed=("cell",), guard=lambda v, c: len(v["cell"]) < 3, action=action)
+    net = k.Net("grower", ("cell",), (t,))
+    finals = []
+    for make in (tuple, k.TimedToken._make):
+        initial = k.EngineState(marking={"cell": make(([], 0))})
+        try:
+            final = k.run(net, initial)
+        except Exception as e:
+            raise AssertionError(f"an initial {make(([], 0))!r} raised {e!r}") from e
+        assert initial.marking["cell"] == ([], 0), make
+        assert type(final.marking["cell"]) is k.TimedToken, make
+        finals.append((final.marking, final.clock, final.trace))
+    assert finals[0] == finals[1]
+    assert finals[0][0]["cell"] == ([0, 1, 2], 3)
+
+
 class TestEnabling:
     def test_token_availability_gates_enabling(self):
         net = counter_net()
@@ -381,6 +411,16 @@ class TestRun:
         with pytest.raises(StepLimitExceeded) as info:
             run(net, counter_state(), step_limit=10)
         assert str(info.value) == "net 'counter' did not halt within 10 firings"
+
+    def test_initial_plain_pairs_run_as_tokens(self):
+        initial_pairs_become_tokens(kernel)
+
+    @pytest.mark.parametrize("token", NOT_PAIRS)
+    def test_initial_token_that_is_not_a_pair_is_a_model_error(self, token):
+        # run passes it on, so the error is the one steps gives.
+        with pytest.raises(EngineError) as info:
+            run(counter_net(), EngineState(marking={"cell": token}))
+        assert str(info.value) == f"initial marking gives place 'cell' {token!r}, not a (value, ready_time) pair"
 
     def test_run_requires_covering_marking(self):
         with pytest.raises(EngineError) as info:

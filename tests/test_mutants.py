@@ -9,13 +9,13 @@ fragment occurs exactly once, so a refactor that moves the code breaks the
 row rather than making it vacuous, that the check passes on the real module,
 and that it fails on the mutant.
 
-Known equivalent mutants are not rows. One is ``insort_left`` for ``insort``
-in Activate: ``pi`` ends both sort keys, so no two records ever tie. Another
-is ``main`` parsing every call into one ``Namespace`` kept with the cached
-parser: the subcommand's parser fills a fresh ``Namespace`` of its own, with
-all its defaults, and copies it over, so no option of ``run``, ``compare``
-or ``fuzz`` outlives its call. The row ``namespace-kept-per-parser`` keeps one
-in every parser, the subcommands' too, and that one leaks.
+Known equivalent mutants are not rows. One is ``main`` parsing every call
+into one ``Namespace`` kept with the cached parser: the subcommand's parser
+fills a fresh ``Namespace`` of its own, with all its defaults, and copies it
+over, so no option of ``run``, ``compare`` or ``fuzz`` outlives its call.
+The row ``namespace-kept-per-parser`` keeps one in every parser, the
+subcommands' too, and that one leaks. ``insort_left`` in Activate is a row,
+``hrrn-insort-left``: HRRN inserts by service time alone, so records tie.
 """
 
 import json
@@ -48,6 +48,7 @@ from tcpnsched import (
 from helpers import odd_trace_records, run_on_closed_pipe
 from test_cli import GAPS, HRRN_EXPECTED, calls_are_independent, table_and_gantt_agree_with_document
 from test_kernel import (
+    initial_pairs_become_tokens,
     outputs_that_are_not_pairs_are_model_errors,
     pairs_become_tokens,
     ready_times_that_do_not_compare_are_model_errors,
@@ -63,13 +64,26 @@ def _results():
         yield compute_metrics(state, table1, policy), trace_records(state.trace)
 
 
+def _written(cli_module, result, trace=None) -> str:
+    """``result_json_text`` of ``result`` and ``trace``.
+
+    Any exception fails the check by assertion, as in ``_parsed``, so a
+    mutant whose layout takes too few or too many values dies as one that
+    writes wrong text does.
+    """
+    try:
+        return cli_module.result_json_text(result, trace)
+    except Exception as e:
+        raise AssertionError(f"result_json_text raised {e!r}") from e
+
+
 def processes_are_json_dumps(cli_module) -> None:
     """The document of paper-table1, of the empty workload and of ``GAPS`` is ``json.dumps``'s."""
     results = [result for result, _ in _results()]
     for w in (parse_workload("[]"), parse_workload(GAPS)):
         results += [compute_metrics(simulate(w, policy), w, policy) for policy in Policy]
     for result in results:
-        assert cli_module.result_json_text(result) == json.dumps(cli_module.result_json_doc(result), indent=2)
+        assert _written(cli_module, result) == json.dumps(cli_module.result_json_doc(result), indent=2)
 
 
 def trace_is_json_dumps(cli_module) -> None:
@@ -77,7 +91,7 @@ def trace_is_json_dumps(cli_module) -> None:
         for records in (trace, odd_trace_records()):
             doc = cli_module.result_json_doc(result)
             doc["trace"] = records
-            assert cli_module.result_json_text(result, records) == json.dumps(doc, indent=2)
+            assert _written(cli_module, result, records) == json.dumps(doc, indent=2)
 
 
 def finish_and_turnaround_are_golden(workload_module) -> None:
@@ -154,6 +168,10 @@ def closed_pipe_leaves_no_descriptor_open(cli_module) -> None:
 TIES = [
     (Policy.HRRN, [(1, 0, 1, 0), (2, 1, 101, 0), (3, 0, 101, 0)]),
     (Policy.HRRN, [(1, 0, 1, 0), (2, 1, 1, 0), (3, 0, 101, 0)]),
+    # Two records of one (st, it) group, the higher index first in the input.
+    (Policy.HRRN, [(1, 0, 5, 0), (3, 1, 2, 0), (2, 1, 2, 0)]),
+    # At t=10 process 4 (ratio 300) sits between 3 (200) and 2 (325), which share st 4.
+    (Policy.HRRN, [(1, 0, 10, 0), (3, 6, 4, 0), (2, 1, 4, 0), (4, 6, 2, 0)]),
     (Policy.SJF, [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 1, 0)]),
     (Policy.PR, [(1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 1)]),
 ]
@@ -250,6 +268,8 @@ MUTANTS = [
         processes_are_json_dumps,
     ),
     ("empty-array-bracketed", cli, 'if entries else "[]"', 'if entries else "[\\n  ]"', processes_are_json_dumps),
+    ("pr-pairs-untransposed", cli, "zip(*value) if type(value) is list", "value if type(value) is list", processes_are_json_dumps),
+    ("top-layout-flipped", cli, "_TOP_LAYOUTS[trace is not None]", "_TOP_LAYOUTS[trace is None]", processes_are_json_dumps),
     (
         "finish-turnaround-swapped",
         workload,
@@ -278,6 +298,7 @@ MUTANTS = [
         trace_is_json_dumps,
     ),
     ("trace-key-type-dropped", cli, ", *map(type, detail))", ")", trace_is_json_dumps),
+    ("trace-name-by-str", cli, "json.dumps(transition, indent=2)", "str(transition)", trace_is_json_dumps),
     ("trace-empty-list-bracketed", cli, "_layout([0] * n,", "_layout([0] * n or [[]],", trace_is_json_dumps),
     ("key-order-checked-once", workload, "if names not in checked or", "if not checked or", later_entries_are_checked),
     ("repeated-key-unchecked", workload, " or len(names) != len(entry):", ":", later_entries_are_checked),
@@ -371,6 +392,13 @@ MUTANTS = [
     ),
     ("token-left-a-pair", kernel, "marking[name] = token", "marking[name] = pair", pairs_become_tokens),
     (
+        "initial-token-read-by-field",
+        kernel,
+        "value, ready = token\n",
+        "value, ready = token.value, token.ready_time\n",
+        initial_pairs_become_tokens,
+    ),
+    (
         "pair-length-unchecked",
         kernel,
         "value, ready_time = token",
@@ -427,6 +455,7 @@ MUTANTS = [
         "return cmp_scalar(major2, major1, policy)",
         engine_agrees_with_oracle,
     ),
+    ("hrrn-insort-left", sched, "bisect.insort(ready,", "bisect.insort_left(ready,", engine_agrees_with_oracle),
     (
         "advance-clock-bound-at-definition",
         kernel,

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import new_tasks_order
+from helpers import make_corpus, new_tasks_order, run_checked
 from tcpnsched import (
     EngineState,
     Policy,
@@ -223,6 +223,15 @@ class TestFullRuns:
         res = compute_metrics(simulate(table1, Policy.PR), table1, Policy.PR)
         assert [p.pi for p in res.finished] == [6, 4, 1, 3, 2, 5]
         assert [p.es for p in res.finished] == [1, 5, 7, 11, 13, 16]
+
+    def test_hrrn_ready_queue_stays_sorted_under_ties(self):
+        # Many arrivals per instant, three service times and indexes shuffled
+        # in the input: Activate inserts by st alone, so each arrival must
+        # land at the end of its st run. run_checked asserts after every step
+        # that ReadyQueue is strictly ascending by (st, it, pi).
+        for w in make_corpus(53, 40, min_n=6, max_n=30, max_it=8, max_st=3):
+            assert [p.pi for p in w.processes] != sorted(p.pi for p in w.processes), w.name
+            run_checked(w, Policy.HRRN)
 
     def test_build_net_rejects_invalid_workload(self):
         # The workload rejects itself before build_net is ever reached.
