@@ -8,7 +8,6 @@ import json
 import os
 import re
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 from .kernel import EngineError, trace_records
@@ -122,13 +121,14 @@ def _array(entries: list[str]) -> str:
 def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     """``json.dumps(doc, indent=2)`` of ``result_json_doc(result)``, byte for byte.
 
-    A ``trace`` given (``trace_records`` of a run) is added under ``"trace"``;
-    a trace value other than an int, or a list of ints in a detail, raises
-    TypeError, and so does a transition name that is a list or a dict, since
-    it keys the layouts. Every part, the top level too, is a ``_layout``
-    filled by ``%``; a trace name fills a slot of its entry's layout. The
-    ``processes`` values come from one ``_process_entry`` call over the
-    columns of the finished records; only here are ``pr`` pairs transposed.
+    A ``trace`` given (a run's ``FiringEvent``s) is added under ``"trace"``,
+    as its ``trace_records``; a time other than an int, or a detail value
+    other than an int or a list of ints, raises TypeError, and so does a
+    transition name that is a list or a dict, since it keys the layouts.
+    Every part, the top level too, is a ``_layout`` filled by ``%``; a trace
+    name fills a slot of its entry's layout. The ``processes`` values come
+    from one ``_process_entry`` call over the columns of the finished
+    records; only here are ``pr`` pairs transposed.
     """
     agg, total_idle = result.aggregates, result.total_idle
     processes, aggregates = [], "null"
@@ -145,7 +145,7 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
         layouts: dict[tuple, tuple[str, str]] = {}
         lists: dict[int, str] = {}
         entries = []
-        for t, transition, detail in map(itemgetter("t", "transition", "detail"), trace):
+        for transition, t, detail in trace:
             if type(t) is not int:
                 raise TypeError(f"trace record of {transition!r}: 't' is {t!r:.40}, not an integer")
             fill = [t, None]
@@ -198,18 +198,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.engine == "cpn":
         state = simulate(w, policy, trace=args.trace)
-        result = compute_metrics(state, w, policy)
-        trace = trace_records(state.trace) if args.trace else None
+        result, trace = compute_metrics(state, w, policy), state.trace
     else:
-        result = result_from_processes(oracle_schedule(w, policy), w, policy)
-        trace = None
+        result, trace = result_from_processes(oracle_schedule(w, policy), w, policy), None
 
     if args.format == "json":
         print(result_json_text(result, trace))
     else:
         sys.stdout.write(gantt_csv(result) if args.format == "gantt-csv" else _result_table(result))
         if trace is not None:
-            print(json.dumps(trace))
+            print(json.dumps(trace_records(trace)))
     return EXIT_OK
 
 
@@ -336,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print("error: output closed before it was all written", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,23 +9,23 @@ same mapping of input values its guard saw; check that its outputs rewrite
 exactly the consumed places; build each output ``(value, ready_time)`` pair
 into a token, checking that it is a pair whose ready-time compares with the
 clock and is not before it, and write it into the marking; then, when the
-state keeps a trace, append one event to it. The marking holds only
-``TimedToken``s, and the kernel builds every one an action writes, so an
-action returns plain pairs (a ``TimedToken`` is one too). A consumed token
-leaves the marking, so the action owns the values of its consumed places: it
-may update them in place and return them in its outputs. It never changes a
-read place. When nothing is enabled, the clock jumps to the smallest token
-ready-time strictly ahead of it; if no token lies ahead, the run halts.
+state keeps a trace, append one event to it. ``steps`` builds every token,
+from each initial pair when the first step starts and from each pair an
+action writes, so the marking holds only ``TimedToken``s while callers and
+actions give plain pairs. A consumed token leaves the marking, so the action
+owns the values of its consumed places: it may update them in place and
+return them in its outputs. It never changes a read place. When nothing is
+enabled, the clock jumps to the smallest token ready-time strictly ahead of
+it; if no token lies ahead, the run halts.
 
 Guards must be pure predicates over (input values, clock); all state change
 belongs in actions. Same-instant conflicts are resolved by static transition
 rank (lower fires first). ``steps`` is the one loop that applies this rule,
-enabling and firing both; ``run`` exhausts it. It reads the marking and the
-clock when the first step starts and keeps ``state`` current after every
-step. The mapping of input values that a guard and an action get is the
-kernel's own: a read-only view of exactly the transition's input places,
-valid during the call, which the kernel keeps current as it writes places
-instead of rebuilding it at every step.
+enabling and firing both, and keeps ``state`` current after every step;
+``run`` exhausts it. The mapping of input values that a guard and an action
+get is the kernel's own: a read-only view of exactly the transition's input
+places, valid during the call, which the kernel keeps current as it writes
+places instead of rebuilding it at every step.
 """
 
 from __future__ import annotations
@@ -146,13 +146,14 @@ def steps(
     Deterministic: identical inputs give identical traces.
 
     The marking, the clock and ``state.trace`` are read once, when the first
-    step starts; changes made to ``state`` from outside after that are not
-    seen. From then on the kernel keeps each place's ready-time and each
-    input mapping current as it writes places, so a step rebuilds nothing.
-    ``state.marking`` and ``state.clock`` are current after every step.
-    Transitions with the same input places share one mapping. A guard or
-    action gets it as a read-only view that is valid during the call only:
-    it holds exactly the transition's input places, in no set order.
+    step starts, which makes each initial pair a ``TimedToken``; changes
+    made to ``state`` from outside after that are not seen. From then on the
+    kernel keeps each place's ready-time and each input mapping current as
+    it writes places, so a step rebuilds nothing. ``state.marking`` and
+    ``state.clock`` are current after every step. Transitions with the same
+    input places share one mapping. A guard or action gets it as a read-only
+    view that is valid during the call only: it holds exactly the
+    transition's input places, in no set order.
 
     A guard or action that raises an exception other than EngineError is
     reported as an EngineError naming the transition and the clock (writing
@@ -171,12 +172,13 @@ def steps(
 
     marking, clock, trace = state.marking, state.clock, state.trace
     ready_at = {}
-    for name, token in marking.items():
+    for name, pair in marking.items():
         try:
-            _, ready_at[name] = token
+            # Targets bind left to right: a bad pair raises before it is stored.
+            _, ready_at[name] = marking[name] = tuple.__new__(TimedToken, pair)
         except (TypeError, ValueError):
             raise EngineError(
-                f"initial marking gives place {name!r} {token!r:.40}, not a (value, ready_time) pair"
+                f"initial marking gives place {name!r} {pair!r:.40}, not a (value, ready_time) pair"
             ) from None
         try:
             ready_at[name] < clock  # every later step compares it so
@@ -271,12 +273,12 @@ def steps(
 def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
     """Exhaust ``steps`` on a copy of ``initial`` and return the final state.
 
-    An initial token may be any (value, ready_time) pair, as in ``steps``;
-    one that is not a pair is passed on as it is, for ``steps`` to reject.
-    Each value is shallow-copied once, so actions that update their values
-    in place leave ``initial`` untouched. The final state keeps a trace,
-    starting from a copy of the initial one, only if ``initial`` keeps one.
-    Raises StepLimitExceeded as ``steps`` does.
+    An initial token may be any (value, ready_time) pair, as in ``steps``,
+    which builds the tokens; one that is not a pair is passed on as it is,
+    for ``steps`` to reject. Each value is shallow-copied once, so actions
+    that update their values in place leave ``initial`` untouched. The final
+    state keeps a trace, starting from a copy of the initial one, only if
+    ``initial`` keeps one. Raises StepLimitExceeded as ``steps`` does.
     """
     marking = dict(initial.marking)
     for place, token in marking.items():
@@ -284,7 +286,7 @@ def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) ->
             value, ready = token
         except (TypeError, ValueError):
             continue
-        marking[place] = TimedToken(copy.copy(value), ready)
+        marking[place] = copy.copy(value), ready
     state = EngineState(
         marking=marking,
         clock=initial.clock,

@@ -241,7 +241,7 @@ def _policy_net(policy: Policy) -> Net:
     def execute_action(v, clock):
         p = set_execution_start(v[RUNNING].pop(), clock)
         v[FINISHED].append(p)
-        done = clock + p.st
+        done = p.finish
         outputs = {FINISHED: (v[FINISHED], done), RUNNING: (v[RUNNING], done)}
         return outputs, {"executed": p.pi, "start": clock, "finish": done}
 

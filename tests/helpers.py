@@ -8,6 +8,7 @@ import sys
 
 from tcpnsched import (
     EngineState,
+    FiringEvent,
     Policy,
     PriorityPair,
     Process,
@@ -141,8 +142,8 @@ def assert_schedule_invariants(w: Workload, policy: Policy, state: EngineState) 
     return result
 
 
-def odd_trace_records() -> list[dict]:
-    """Trace records of shapes the scheduler net never makes, for the trace writer.
+def odd_trace() -> list[FiringEvent]:
+    """Trace events of shapes the scheduler net never makes, for the trace writer.
 
     They hold a transition name outside the net's four, a name and keys with
     ``"``, ``%`` and non-ASCII characters, an empty detail, an empty list,
@@ -151,16 +152,16 @@ def odd_trace_records() -> list[dict]:
     are not strings under one name: the int 1, and ``True``, which equals it.
     """
     return [
-        {"t": 0, "transition": "Fork", "detail": {"a": 1}},
-        {"t": 1, "transition": 0, "detail": {"a": 2}},
-        {"t": 2, "transition": False, "detail": {"a": 0}},
-        {"t": 3, "transition": 'Wait "%s" %d %% \u00fc\u4e2d', "detail": {'50% "done" \u00e9': -7, "%(x)s": [1]}},
-        {"t": 3, "transition": "Tick", "detail": {}},
-        {"t": -1, "transition": "Fork", "detail": {"b": [], "a": 10**40}},
-        {"t": 10**40, "transition": "Join", "detail": {"ids": [-(10**39), 0, 2**64]}},
-        {"t": 12, "transition": "Fork", "detail": {"a": -(10**39)}},
-        {"t": 13, "transition": "Keyed", "detail": {1: 2}},
-        {"t": 14, "transition": "Keyed", "detail": {True: 2}},
+        FiringEvent("Fork", 0, {"a": 1}),
+        FiringEvent(0, 1, {"a": 2}),
+        FiringEvent(False, 2, {"a": 0}),
+        FiringEvent('Wait "%s" %d %% \u00fc\u4e2d', 3, {'50% "done" \u00e9': -7, "%(x)s": [1]}),
+        FiringEvent("Tick", 3, {}),
+        FiringEvent("Fork", -1, {"b": [], "a": 10**40}),
+        FiringEvent("Join", 10**40, {"ids": [-(10**39), 0, 2**64]}),
+        FiringEvent("Fork", 12, {"a": -(10**39)}),
+        FiringEvent("Keyed", 13, {1: 2}),
+        FiringEvent("Keyed", 14, {True: 2}),
     ]
 
 

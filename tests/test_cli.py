@@ -1,5 +1,6 @@
 import codecs
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcpnsched import (
+    FiringEvent,
     Policy,
     PriorityPair,
     Process,
@@ -32,7 +34,7 @@ from tcpnsched import (
 )
 from tcpnsched import cli
 
-from helpers import odd_trace_records, run_on_closed_pipe
+from helpers import odd_trace, run_on_closed_pipe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -335,32 +337,32 @@ class TestJsonWriter:
     def test_trace_writer_is_json_dumps_on_drawn_workloads(self, w):
         for policy in Policy:
             state = simulate(w, policy)
-            result, trace = compute_metrics(state, w, policy), trace_records(state.trace)
+            result = compute_metrics(state, w, policy)
             doc = cli.result_json_doc(result)
-            doc["trace"] = trace
-            assert cli.result_json_text(result, trace) == json.dumps(doc, indent=2)
+            doc["trace"] = trace_records(state.trace)
+            assert cli.result_json_text(result, state.trace) == json.dumps(doc, indent=2)
 
     def test_trace_writer_is_json_dumps_on_shapes_the_net_never_makes(self, table1):
         result = compute_metrics(simulate(table1, Policy.SJF), table1, Policy.SJF)
-        trace = odd_trace_records()
+        trace = odd_trace()
         doc = cli.result_json_doc(result)
-        doc["trace"] = trace
+        doc["trace"] = trace_records(trace)
         assert cli.result_json_text(result, trace) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize(
-        "record, key",
+        "event, key",
         [
-            ({"t": 0, "transition": "Fork", "detail": {"a": 1, "k": True}}, "k"),
-            ({"t": 0, "transition": "Fork", "detail": {"k": "7"}}, "k"),
-            ({"t": 0, "transition": "Fork", "detail": {"k": [1, False]}}, "k"),
-            ({"t": True, "transition": "Fork", "detail": {}}, "t"),
+            (FiringEvent("Fork", 0, {"a": 1, "k": True}), "k"),
+            (FiringEvent("Fork", 0, {"k": "7"}), "k"),
+            (FiringEvent("Fork", 0, {"k": [1, False]}), "k"),
+            (FiringEvent("Fork", True, {}), "t"),
         ],
         ids=["bool", "str", "bool-in-list", "bool-t"],
     )
-    def test_trace_writer_rejects_values_it_would_write_wrongly(self, table1, record, key):
+    def test_trace_writer_rejects_values_it_would_write_wrongly(self, table1, event, key):
         result = compute_metrics(simulate(table1, Policy.SJF), table1, Policy.SJF)
         with pytest.raises(TypeError, match=f"trace record of 'Fork': '{key}' is "):
-            cli.result_json_text(result, [{"t": 1, "transition": "Idle", "detail": {"idle_until": 2}}, record])
+            cli.result_json_text(result, [FiringEvent("Idle", 1, {"idle_until": 2}), event])
 
     @pytest.mark.parametrize("engine", ["cpn", "oracle"])
     @pytest.mark.parametrize(
@@ -513,6 +515,26 @@ class TestErrorPaths:
             assert err.startswith("internal error:") and "did not halt" in err, (argv, err)
             assert out == ""
 
+    def test_program_fault_exits_2(self, capsys, monkeypatch):
+        # A fault in a layer other than the kernel is the program's, not the input's.
+        def fault(*args):
+            raise ZeroDivisionError("simulated bug")
+
+        monkeypatch.setattr(cli, "compute_metrics", fault)
+        code, out, err = invoke(capsys, "run")
+        assert (code, out, err) == (2, "", "internal error: ZeroDivisionError: simulated bug\n")
+
+    def test_unreadable_bytes_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff[]")
+        code, out, err = invoke(capsys, "run", "--workload", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: workload source is not valid UTF-8"), err
+
+    def test_main_module_imports_the_cli_main(self):
+        # Imported here rather than run, so its module lines run in-process too.
+        assert importlib.import_module("tcpnsched.__main__").main is cli.main
+
     def test_python_dash_m_runs_the_cli(self):
         for argv, code in ((("run",), 0), (("run", "--policy", "bogus"), 1)):
             done = subprocess.run(
@@ -606,6 +628,14 @@ class TestCompare:
         assert code == 2
         assert "pi=6" in out
 
+    def test_program_fault_exits_2(self, capsys, monkeypatch):
+        def fault(*args):
+            raise KeyError("simulated bug")
+
+        monkeypatch.setattr(cli, "oracle_schedule", fault)
+        code, out, err = invoke(capsys, "compare")
+        assert (code, out, err) == (2, "", "internal error: KeyError: 'simulated bug'\n")
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = invoke(capsys, "compare", "--policy", "fcfs", "--workload", "missing.json")
         assert code == 1
@@ -639,6 +669,14 @@ class TestFuzz:
         code, out, _ = invoke(capsys, "fuzz", "--seed", "7", "--count", "5")
         assert code == 2
         assert "failing seeds: 9" in out
+
+    def test_program_fault_exits_2(self, capsys, monkeypatch):
+        def fault(*args, **kwargs):
+            raise IndexError("simulated bug")
+
+        monkeypatch.setattr(cli, "diff_results", fault)
+        code, out, err = invoke(capsys, "fuzz", "--seed", "7", "--count", "5")
+        assert (code, out, err) == (2, "", "internal error: IndexError: simulated bug\n")
 
     def test_workload_and_policy_are_usage_errors(self, capsys):
         # fuzz draws its own workloads and runs every policy.

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import deque
 
 import pytest
 
@@ -153,6 +154,31 @@ def initial_pairs_become_tokens(kernel_module) -> None:
         finals.append((final.marking, final.clock, final.trace))
     assert finals[0] == finals[1]
     assert finals[0][0]["cell"] == ([0, 1, 2], 3)
+
+
+def steps_makes_initial_pairs_tokens(kernel_module) -> None:
+    """``steps`` driven directly leaves only TimedTokens in ``state.marking``.
+
+    Place ``a`` starts as a list and an action rewrites it; place ``b`` starts
+    as a plain tuple and is only read, so it holds its initial token to the
+    end. Both are TimedTokens from the first step on.
+    """
+    k = kernel_module
+    t = k.Transition(
+        name="count",
+        rank=0,
+        consumed=("a",),
+        reads=("b",),
+        guard=lambda v, c: v["a"] < v["b"],
+        action=lambda v, c: ({"a": (v["a"] + 1, c + 1)}, {}),
+    )
+    state = k.EngineState(marking={"a": [0, 0], "b": (5, 0)})
+    stepper = k.steps(k.Net("reader", ("a", "b"), (t,)), state)
+    assert next(stepper) is t
+    assert {name: type(token) for name, token in state.marking.items()} == {"a": k.TimedToken, "b": k.TimedToken}
+    deque(stepper, maxlen=0)
+    assert state.marking == {"a": (5, 5), "b": (5, 0)}
+    assert {type(token) for token in state.marking.values()} == {k.TimedToken}
 
 
 class TestEnabling:
@@ -334,6 +360,9 @@ class TestFiring:
     def test_plain_pairs_run_as_tokens(self):
         pairs_become_tokens(kernel)
 
+    def test_steps_makes_initial_pairs_tokens(self):
+        steps_makes_initial_pairs_tokens(kernel)
+
     @pytest.mark.parametrize("policy", list(Policy))
     def test_scheduler_marking_holds_only_tokens(self, policy):
         for w in [builtin_paper_workload()] + make_corpus(29, 10):
@@ -421,6 +450,11 @@ class TestRun:
         with pytest.raises(EngineError) as info:
             run(counter_net(), EngineState(marking={"cell": token}))
         assert str(info.value) == f"initial marking gives place 'cell' {token!r}, not a (value, ready_time) pair"
+        # Driven directly, steps leaves the bad token where it was.
+        state = EngineState(marking={"cell": token})
+        with pytest.raises(EngineError):
+            next(steps(counter_net(), state))
+        assert state.marking == {"cell": token}
 
     def test_run_requires_covering_marking(self):
         with pytest.raises(EngineError) as info:

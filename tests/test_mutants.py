@@ -18,6 +18,8 @@ subcommands' too, and that one leaks. ``insort_left`` in Activate is a row,
 ``hrrn-insort-left``: HRRN inserts by service time alone, so records tie.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -45,23 +47,24 @@ from tcpnsched import (
     workload,
 )
 
-from helpers import odd_trace_records, run_on_closed_pipe
+from helpers import odd_trace, run_on_closed_pipe
 from test_cli import GAPS, HRRN_EXPECTED, calls_are_independent, table_and_gantt_agree_with_document
 from test_kernel import (
     initial_pairs_become_tokens,
     outputs_that_are_not_pairs_are_model_errors,
     pairs_become_tokens,
     ready_times_that_do_not_compare_are_model_errors,
+    steps_makes_initial_pairs_tokens,
 )
 from test_reference_kernel import kernel_agrees_with_reference
 
 
 def _results():
-    """The result and the trace records of paper-table1 under each policy."""
+    """The result and the trace of paper-table1 under each policy."""
     table1 = builtin_paper_workload()
     for policy in Policy:
         state = simulate(table1, policy)
-        yield compute_metrics(state, table1, policy), trace_records(state.trace)
+        yield compute_metrics(state, table1, policy), state.trace
 
 
 def _written(cli_module, result, trace=None) -> str:
@@ -87,11 +90,12 @@ def processes_are_json_dumps(cli_module) -> None:
 
 
 def trace_is_json_dumps(cli_module) -> None:
+    """A trace of paper-table1, and ``odd_trace``, are written as ``json.dumps`` writes their ``trace_records``."""
     for result, trace in _results():
-        for records in (trace, odd_trace_records()):
+        for events in (trace, odd_trace()):
             doc = cli_module.result_json_doc(result)
-            doc["trace"] = records
-            assert _written(cli_module, result, records) == json.dumps(doc, indent=2)
+            doc["trace"] = trace_records(events)
+            assert _written(cli_module, result, events) == json.dumps(doc, indent=2)
 
 
 def finish_and_turnaround_are_golden(workload_module) -> None:
@@ -154,6 +158,30 @@ def negative_arrival_is_rejected(workload_module) -> None:
 
 def duplicate_index_is_rejected(workload_module) -> None:
     assert _report(workload_module, (1, 0, 1), (1, 2, 1)) == "duplicate index 1"
+
+
+def program_faults_exit_2(cli_module) -> None:
+    """Under ``run``, ``compare`` and ``fuzz``, an exception from ``compute_metrics`` exits 2 and names itself.
+
+    An exception that escapes ``main`` fails the check by assertion.
+    """
+
+    def fault(*args):
+        raise ZeroDivisionError("simulated bug")
+
+    real, cli_module.compute_metrics = cli_module.compute_metrics, fault
+    try:
+        for argv in (["run"], ["compare"], ["fuzz", "--seed", "1", "--count", "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_module.main(argv)
+                except Exception as e:
+                    raise AssertionError(f"{argv} raised {e!r}") from e
+            expected = (2, "", "internal error: ZeroDivisionError: simulated bug\n")
+            assert (code, out.getvalue(), err.getvalue()) == expected, argv
+    finally:
+        cli_module.compute_metrics = real
 
 
 def closed_pipe_leaves_no_descriptor_open(cli_module) -> None:
@@ -300,6 +328,13 @@ MUTANTS = [
     ("trace-key-type-dropped", cli, ", *map(type, detail))", ")", trace_is_json_dumps),
     ("trace-name-by-str", cli, "json.dumps(transition, indent=2)", "str(transition)", trace_is_json_dumps),
     ("trace-empty-list-bracketed", cli, "_layout([0] * n,", "_layout([0] * n or [[]],", trace_is_json_dumps),
+    (
+        "trace-event-fields-swapped",
+        cli,
+        "for transition, t, detail in trace:",
+        "for t, transition, detail in trace:",
+        trace_is_json_dumps,
+    ),
     ("key-order-checked-once", workload, "if names not in checked or", "if not checked or", later_entries_are_checked),
     ("repeated-key-unchecked", workload, " or len(names) != len(entry):", ":", later_entries_are_checked),
     (
@@ -331,6 +366,15 @@ MUTANTS = [
         duplicate_index_is_rejected,
     ),
     ("devnull-left-open", cli, "        os.close(devnull)\n", "", closed_pipe_leaves_no_descriptor_open),
+    (
+        "internal-fault-escapes",
+        cli,
+        "    except Exception as e:\n"
+        '        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)\n'
+        "        return EXIT_INTERNAL\n",
+        "",
+        program_faults_exit_2,
+    ),
     (
         "namespace-kept-per-parser",
         cli,
@@ -391,6 +435,13 @@ MUTANTS = [
         model_errors_keep_their_cause,
     ),
     ("token-left-a-pair", kernel, "marking[name] = token", "marking[name] = pair", pairs_become_tokens),
+    (
+        "initial-token-left-a-pair",
+        kernel,
+        "marking[name] = tuple.__new__(TimedToken, pair)",
+        "marking[name] = pair",
+        steps_makes_initial_pairs_tokens,
+    ),
     (
         "initial-token-read-by-field",
         kernel,

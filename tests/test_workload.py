@@ -256,6 +256,10 @@ class TestParseJson:
         assert parse_workload(TABLE1_JSON.encode(), fmt="json").processes == table1.processes
         assert parse_workload(io.StringIO(TABLE1_JSON), fmt="json").processes == table1.processes
 
+    def test_bytes_that_are_not_utf8_rejected(self):
+        with pytest.raises(WorkloadError, match="^workload source is not valid UTF-8: "):
+            parse_workload(b"\xff[]")
+
     def test_priority_defaults_to_zero(self):
         w = parse_workload('[{"pi": 1, "it": 0, "st": 2}]', fmt="json")
         assert w.processes[0].pr == PriorityPair(0, 0)
@@ -555,6 +559,10 @@ class TestParseCsv:
         with pytest.raises(WorkloadError, match="unknown workload format"):
             parse_workload("[]", fmt="yaml")
 
+    def test_blank_rows_skipped(self):
+        w = parse_workload("pi,it,st\n1,0,1\n\n , \n2,0,1\n", fmt="csv")
+        assert w.processes == (Process(1, 0, 1), Process(2, 0, 1))
+
 
 class TestFieldNames:
     """JSON fields and CSV columns: the first bad name in input order is reported."""
@@ -593,6 +601,11 @@ class TestRoundTrip:
             w = random_workload(random.Random(seed), name=f"rt-{seed}")
             again = parse_workload(serialize_workload(w, fmt), fmt=fmt)
             assert again.processes == w.processes, f"seed {seed} failed {fmt} round-trip"
+
+    def test_unknown_format(self, table1):
+        with pytest.raises(WorkloadError) as info:
+            serialize_workload(table1, fmt="yaml")
+        assert str(info.value) == "unknown workload format 'yaml'; valid formats: json, csv"
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(st.data())
