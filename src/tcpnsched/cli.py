@@ -235,28 +235,22 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.count < 0:
         raise WorkloadError(f"--count must be >= 0, got {args.count}")
-    total = 0
-    passed = 0
-    failing_seeds: list[int] = []
+    # The case seed of each comparison that fails, once per failure.
+    failed: list[int] = []
     # Case i uses seed (base seed + i), so a failure replays with
     # --seed <failing seed> --count 1.
     for i in range(args.count):
         case_seed = args.seed + i
         w = random_workload(random.Random(case_seed), name=f"fuzz-{case_seed}")
-        case_failed = False
         for policy in Policy:
-            total += 1
             report = _disagreement(w, policy)
             if report:
-                case_failed = True
+                failed.append(case_seed)
                 print(f"seed {case_seed} policy {policy.value}: {report[0]}")
-            else:
-                passed += 1
-        if case_failed:
-            failing_seeds.append(case_seed)
-    print(f"{passed}/{total} comparisons passed")
-    if failing_seeds:
-        print("failing seeds: " + " ".join(str(s) for s in failing_seeds))
+    total = len(Policy) * args.count
+    print(f"{total - len(failed)}/{total} comparisons passed")
+    if failed:
+        print("failing seeds: " + " ".join(map(str, dict.fromkeys(failed))))
         return EXIT_INTERNAL
     return EXIT_OK
 

@@ -112,8 +112,9 @@ class Net:
 class EngineState:
     """Marking, clock and trace of one run. The clock never decreases.
 
-    ``trace`` is a list that each firing appends its event to, or None to
-    keep no trace, so that a run builds no event at all.
+    ``trace`` is a sink that each firing appends its event to, such as a
+    list or a ``deque(maxlen=k)``, or None to keep no trace, so that a run
+    builds no event at all.
     """
 
     marking: dict[str, TimedToken]
@@ -277,8 +278,9 @@ def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) ->
     which builds the tokens; one that is not a pair is passed on as it is,
     for ``steps`` to reject. Each value is shallow-copied once, so actions
     that update their values in place leave ``initial`` untouched. The final
-    state keeps a trace, starting from a copy of the initial one, only if
-    ``initial`` keeps one. Raises StepLimitExceeded as ``steps`` does.
+    state's trace is ``copy.copy`` of the initial one, a sink of the same
+    kind: a ``deque(maxlen=3)`` comes back as a ring holding the last three
+    events, and ``None`` keeps none. Raises StepLimitExceeded as ``steps`` does.
     """
     marking = dict(initial.marking)
     for place, token in marking.items():
@@ -290,7 +292,7 @@ def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) ->
     state = EngineState(
         marking=marking,
         clock=initial.clock,
-        trace=None if initial.trace is None else list(initial.trace),
+        trace=copy.copy(initial.trace),
     )
     deque(steps(net, state, step_limit), maxlen=0)
     return state

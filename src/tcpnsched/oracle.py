@@ -13,7 +13,8 @@ at the top ratio, not one per ready process.
 
 The schedule it returns is the one the net ends with in Finished: the
 stamped ``Process`` records in completion order. Only the data model
-(Process/Policy/PriorityPair) is shared.
+(Process/Policy/PriorityPair/Workload) and ``workload._processes``, the one
+builder of fresh records, are shared.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from .workload import Policy, PriorityPair, Process, Workload
-
-if TYPE_CHECKING:
-    from .metrics import ScheduleResult
+from .workload import Policy, PriorityPair, Process, Workload, _processes
 
 #: The HRRN ready set: per service time, the arrival groups ``[it, heap of
 #: (pi, process)]`` in arrival order.
@@ -121,15 +119,13 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
     return finished
 
 
-def diff_results(
-    engine: "ScheduleResult",
-    oracle: Sequence[Process],
-    oracle_policy: Policy | None = None,
-) -> list[str]:
+def diff_results(engine, oracle: Sequence[Process], oracle_policy: Policy | None = None) -> list[str]:
     """Compare an engine result against the oracle's records; empty means agreement.
 
-    Checks the completion order, then every field of every finished record,
-    reporting the first divergence found.
+    ``engine`` is a ``metrics.ScheduleResult``, left unannotated so that this
+    module imports nothing of the engine's side. Checks the completion order,
+    then every field of every finished record, reporting the first
+    divergence found.
     """
     if oracle_policy is not None and oracle_policy is not engine.policy:
         return [
@@ -170,13 +166,7 @@ def random_workload(
     n = rng.randint(min_n, max_n)
     pis = list(range(1, n + 1))
     rng.shuffle(pis)
-    procs = tuple(
-        Process(
-            pi=pi,
-            it=rng.randint(0, max_it),
-            st=rng.randint(1, max_st),
-            pr=PriorityPair(rng.randint(0, max_priority), 0),
-        )
-        for pi in pis
-    )
-    return Workload(processes=procs, name=name)
+    # Each record draws it, st and priority in turn. An empty workload has no
+    # rows to transpose, but still four columns.
+    rows = [(pi, rng.randint(0, max_it), rng.randint(1, max_st), rng.randint(0, max_priority)) for pi in pis]
+    return Workload(processes=_processes(*(list(zip(*rows)) or [()] * 4)), name=name)

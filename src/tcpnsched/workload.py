@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Any, IO, Iterable, NamedTuple
+from typing import Any, IO, Iterable, NamedTuple, Sequence
 
 
 #: Every finish time must stay below this, so that the averages, which are
@@ -178,17 +178,14 @@ _TABLE1 = (
 
 def builtin_paper_workload() -> Workload:
     """Return the built-in six-process workload (``paper-table1``)."""
-    procs = tuple(
-        Process(pi=pi, it=it, st=st, wt=0, es=0, pr=PriorityPair(prio, 0))
-        for pi, it, st, prio in _TABLE1
-    )
-    return Workload(processes=procs, name="paper-table1")
+    return Workload(processes=_processes(*zip(*_TABLE1)), name="paper-table1")
 
 
 _JSON_FIELDS = ("pi", "it", "st", "priority")
 _REQUIRED_FIELDS = ("pi", "it", "st")
-#: A CSV integer cell, as JSON would accept it: ASCII digits only, so no
-#: ``1_0`` and no digits of other scripts, which ``int()`` would take.
+#: A CSV integer cell: ASCII digits with an optional sign, leading zeros
+#: allowed (``+1`` and ``007`` pass, though JSON rejects both); no ``1_0``
+#: and no digits of other scripts, which ``int()`` would take.
 _CSV_INT = re.compile(r"[+-]?[0-9]+")
 
 
@@ -228,13 +225,15 @@ def _check_names(names: Iterable[str], where: str, noun: str) -> None:
             raise WorkloadError(f"{where}: missing {noun} {name!r}")
 
 
-def _processes(pi: list[int], it: list[int], st: list[int], priority: list[int]) -> list[Process]:
-    """Parsed processes from their columns; wt/es are never read from input, so both start at 0."""
+def _processes(
+    pi: Sequence[int], it: Sequence[int], st: Sequence[int], priority: Sequence[int]
+) -> tuple[Process, ...]:
+    """Fresh processes from the columns of their input records; wt/es are never input, so both start at 0."""
     pairs = {major: PriorityPair(major, 0) for major in set(priority)}
-    return list(map(Process._make, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
+    return tuple(map(Process._make, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
 
 
-def _parse_json(text: str) -> list[Process]:
+def _parse_json(text: str) -> tuple[Process, ...]:
     try:
         # Objects decode to tuples of (key, value) pairs, so that a repeated
         # key is seen rather than silently keeping its last value; other
@@ -280,7 +279,7 @@ def _parse_json(text: str) -> list[Process]:
     return _processes(pi, it, st, priority)
 
 
-def _parse_csv(text: str) -> list[Process]:
+def _parse_csv(text: str) -> tuple[Process, ...]:
     # newline="" lets the reader split lines itself, so CR-only files parse.
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -346,19 +345,19 @@ def parse_workload(source: bytes | str | IO, fmt: str = "json", name: str = "") 
     else:
         raise WorkloadError(f"unknown workload format {fmt!r}; valid formats: json, csv")
 
-    return Workload(processes=tuple(procs), name=name)
+    return Workload(processes=procs, name=name)
 
 
 def serialize_workload(w: Workload, fmt: str = "json") -> str:
     """Serialize a workload so that parse_workload round-trips it."""
-    rows = [{"pi": p.pi, "it": p.it, "st": p.st, "priority": p.pr.major} for p in w.processes]
+    # One tuple per record, in _JSON_FIELDS order.
+    rows = ((p.pi, p.it, p.st, p.pr.major) for p in w.processes)
     if fmt == "json":
-        return json.dumps(rows)
+        return json.dumps([dict(zip(_JSON_FIELDS, row)) for row in rows])
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_JSON_FIELDS)
-        for row in rows:
-            writer.writerow([row[f] for f in _JSON_FIELDS])
+        writer.writerows(rows)
         return out.getvalue()
     raise WorkloadError(f"unknown workload format {fmt!r}; valid formats: json, csv")

@@ -541,6 +541,16 @@ class TestWithoutTrace:
         assert final.trace is not initial.trace and initial.trace == [earlier]
         assert [e.transition for e in final.trace] == ["before", "inc", "inc", "inc"]
 
+    def test_run_keeps_a_ring_sink(self, table1):
+        sn = build_net(table1, Policy.FCFS)
+        listed = run(sn.net, sn.initial_state())
+        initial = sn.initial_state()
+        initial.trace = deque(maxlen=3)
+        final = run(sn.net, initial)
+        assert type(final.trace) is deque and final.trace.maxlen == 3
+        assert list(final.trace) == listed.trace[-3:] and len(listed.trace) == 18
+        assert final.trace is not initial.trace and len(initial.trace) == 0
+
 
 def guards_holding(net, state):
     """Names of the transitions whose guard holds at the clock, in rank order."""

@@ -56,6 +56,7 @@ from test_kernel import (
     ready_times_that_do_not_compare_are_model_errors,
     steps_makes_initial_pairs_tokens,
 )
+from test_oracle import draws_are_pinned
 from test_reference_kernel import kernel_agrees_with_reference
 
 
@@ -399,6 +400,13 @@ MUTANTS = [
         oracle_agrees_on_ties,
     ),
     ("heap-pop-first", oracle, "heapq.heappop(ready)", "ready.pop(0)", oracle_agrees_on_ties),
+    (
+        "draws-it-st-swapped",
+        oracle,
+        "rng.randint(0, max_it), rng.randint(1, max_st)",
+        "*reversed((rng.randint(1, max_st), rng.randint(0, max_it)))",
+        draws_are_pinned,
+    ),
     (
         "hrrn-ranks-taken-at-arrival",
         oracle,

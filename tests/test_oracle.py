@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import random
 
@@ -11,10 +12,12 @@ from tcpnsched import (
     Process,
     Workload,
     WorkloadError,
+    builtin_paper_workload,
     compute_metrics,
     diff_results,
     oracle_schedule,
     random_workload,
+    serialize_workload,
     simulate,
 )
 from tcpnsched import oracle as oracle_module
@@ -296,7 +299,43 @@ class TestDiff:
         assert report and "length mismatch" in report[0]
 
 
+#: The ranges ``random_workload`` is called with: its defaults, then those of the tests' corpora.
+DRAW_RANGES = [
+    {},
+    {"max_n": 20},
+    {"max_n": 12, "max_it": 30, "max_st": 8},
+    {"min_n": 6, "max_n": 30, "max_it": 8, "max_st": 3},
+    {"min_n": 0, "max_n": 2},
+]
+#: ``workload_digest()``: any change to what ``random_workload`` draws, or to
+#: the order of its draws, changes it. ``fuzz --seed`` replays and the
+#: benchmark's ``fuzz-small`` cases depend on both.
+DRAWS_DIGEST = "cd000aa75a1d4213c53a94b9508ad18b79877e0d3c449eee42b19b28f98e23ef"
+
+
+def workload_digest(oracle_mod, seeds: int = 100) -> str:
+    """SHA-256 of ``builtin_paper_workload()`` and of ``seeds`` random workloads per range set.
+
+    Each workload gives the ``repr`` of its processes and its JSON and CSV
+    serializations, each text ended by a NUL byte.
+    """
+    h = hashlib.sha256()
+    drawn = [oracle_mod.random_workload(random.Random(s), **r) for r in DRAW_RANGES for s in range(seeds)]
+    for w in [builtin_paper_workload()] + drawn:
+        for text in (repr(w.processes), serialize_workload(w, "json"), serialize_workload(w, "csv")):
+            h.update(text.encode() + b"\0")
+    return h.hexdigest()
+
+
+def draws_are_pinned(oracle_mod) -> None:
+    """``random_workload`` draws what it drew before, in the same order."""
+    assert workload_digest(oracle_mod) == DRAWS_DIGEST
+
+
 class TestGenerator:
+    def test_draws_match_the_pinned_digest(self):
+        draws_are_pinned(oracle_module)
+
     def test_reproducible(self):
         a = random_workload(random.Random(7))
         b = random_workload(random.Random(7))

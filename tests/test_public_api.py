@@ -1,6 +1,7 @@
 """The package's public surface: ``__all__`` and the README's library example."""
 
 import re
+import typing
 from pathlib import Path
 
 import tcpnsched
@@ -22,3 +23,10 @@ def test_readme_library_example_runs():
     match = re.search(r"```python\n(.*?)```", section, re.S)
     assert match, "README has no python block under ## Library"
     exec(compile(match.group(1), str(README), "exec"), {})
+
+
+def test_every_exported_callable_has_resolvable_type_hints():
+    for name in tcpnsched.__all__:
+        obj = getattr(tcpnsched, name)
+        if callable(obj):
+            typing.get_type_hints(obj)

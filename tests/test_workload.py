@@ -541,6 +541,9 @@ class TestParseCsv:
     def test_signed_ascii_cells_parse(self):
         (p,) = parse_workload("pi,it,st,priority\n+1, 0 ,+2,-3\n", fmt="csv").processes
         assert (p.pi, p.it, p.st, p.pr) == (1, 0, 2, PriorityPair(-3, 0))
+        # Unlike JSON, a CSV cell may carry a plus sign and leading zeros.
+        (p,) = parse_workload("pi,it,st\n+1,007,1\n", fmt="csv").processes
+        assert (p.pi, p.it, p.st) == (1, 7, 1)
 
     def test_cell_beyond_the_digit_cap_named_without_echo(self):
         with pytest.raises(WorkloadError) as info:
