@@ -6,9 +6,9 @@ import argparse
 import functools
 import json
 import os
+import random
 import re
 import sys
-from pathlib import Path
 
 from .kernel import EngineError, trace_records
 from .metrics import Aggregates, ScheduleResult, compute_metrics, gantt_csv, result_from_processes
@@ -33,13 +33,13 @@ def _load_workload(source: str) -> Workload:
     """A workload file path, or the literal ``paper-table1`` for the builtin."""
     if source == "paper-table1":
         return builtin_paper_workload()
-    path = Path(source)
-    fmt = "csv" if path.suffix.lower() == ".csv" else "json"
+    stem, suffix = os.path.splitext(os.path.basename(source))
     try:
-        data = path.read_bytes()
+        with open(source, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise WorkloadError(f"cannot read workload file {source!r}: {e}") from None
-    return parse_workload(data, fmt=fmt, name=path.stem)
+    return parse_workload(data, fmt="csv" if suffix.lower() == ".csv" else "json", name=stem)
 
 
 def _process_entry(p: Process) -> dict:
@@ -223,16 +223,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     report = _disagreement(w, policy)
     if report:
-        for line in report:
-            print(line)
+        print("\n".join(report))
         return EXIT_INTERNAL
     print(f"engine and oracle agree on {len(w)} processes under {policy.value}")
     return EXIT_OK
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    import random
-
     if args.count < 0:
         raise WorkloadError(f"--count must be >= 0, got {args.count}")
     # The case seed of each comparison that fails, once per failure.
@@ -278,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-processor non-preemptive scheduling on a timed colored Petri net.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's name, mapped to its own parser
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -305,12 +303,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in the subcommand's parser alone when ``argv`` starts with one."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if not argv or argv[0] not in parser.commands:
+        return parser.parse_args(argv)
+    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if args.command == "run" and args.trace and args.engine == "oracle":
         # The oracle fires no transitions, so it has no trace to print.
-        parser.error("argument --trace: not allowed with argument --engine oracle")
+        build_parser().error("argument --trace: not allowed with argument --engine oracle")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,10 +1,13 @@
-"""Shared test utilities: corpora, a checked step-driver, and invariant asserts."""
+"""Shared test utilities: corpora, a checked step-driver, invariant asserts and JSON input strategies."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import sys
+
+from hypothesis import strategies as st
 
 from tcpnsched import (
     EngineState,
@@ -182,3 +185,37 @@ def run_on_closed_pipe(main) -> tuple[int, int, int]:
             sys.stdout = saved
         after = len(os.listdir("/proc/self/fd"))
     return code, before, after
+
+
+class JsonObject(tuple):
+    """A JSON object as its ``(key, value)`` pairs, so that a key may repeat."""
+
+
+def json_text(value) -> str:
+    """``value`` as JSON text, each ``JsonObject`` with its pairs in order, repeats and all."""
+    if isinstance(value, JsonObject):
+        return "{" + ", ".join(f"{json.dumps(key)}: {json_text(v)}" for key, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(json_text, value)) + "]"
+    return json.dumps(value)
+
+
+_KEYS = st.sampled_from(["pi", "it", "st", "priority", "wt", "es", "PI", ""]) | st.text(max_size=3)
+#: Any JSON value: ints, bools, floats (inf and nan too), strings, null, arrays and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(st.tuples(_KEYS, inner), max_size=4).map(JsonObject),
+    max_leaves=8,
+)
+#: An object with the known keys, each once, in any order, and small int values.
+_WELL_FORMED = st.permutations(["pi", "it", "st", "priority"]).flatmap(
+    lambda names: st.tuples(*(st.tuples(st.just(name), st.integers(-1, 9)) for name in names)).map(JsonObject)
+)
+#: A workload array entry: most often well-formed, so that bad entries come after good ones;
+#: else an object of any keys and values, or any other value.
+ENTRIES = st.one_of(
+    _WELL_FORMED,
+    _WELL_FORMED,
+    st.lists(st.tuples(_KEYS, st.integers(-1, 9) | JSON_VALUES), max_size=5).map(JsonObject),
+    JSON_VALUES,
+)

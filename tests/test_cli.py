@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from tcpnsched import (
 )
 from tcpnsched import cli
 
-from helpers import odd_trace, run_on_closed_pipe
+from helpers import ENTRIES, JSON_VALUES, json_text, odd_trace, run_on_closed_pipe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -100,7 +101,12 @@ SEQUENCE = [
 
 
 def outcomes(main, sequence) -> dict:
-    """Each argv's exit code, stdout and stderr when ``main`` runs ``sequence`` in order, in this process."""
+    """Each argv's exit code, stdout and stderr when ``main`` runs ``sequence`` in order, in this process.
+
+    An exception other than ``SystemExit`` that escapes ``main`` fails the
+    check by assertion, so a mutant that raises dies as one that prints
+    wrongly does.
+    """
     seen = {}
     for argv in sequence:
         out, err = io.StringIO(), io.StringIO()
@@ -109,8 +115,104 @@ def outcomes(main, sequence) -> dict:
                 code = main(list(argv))
             except SystemExit as e:
                 code = e.code
+            except Exception as e:
+                raise AssertionError(f"{argv} raised {e!r}") from e
         seen[argv] = (code, out.getvalue(), err.getvalue())
     return seen
+
+
+def step_limit_flag_is_a_usage_error(cli_module) -> None:
+    """``run --step-limit 3`` exits 1, as argparse reports an unknown option, under the top-level usage."""
+    (code, out, err), = outcomes(cli_module.main, [("run", "--step-limit", "3")]).values()
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: tcpnsched [-h]"), err
+    assert err.splitlines()[-1] == "tcpnsched: error: unrecognized arguments: --step-limit 3"
+
+
+def oracle_trace_is_a_usage_error(cli_module) -> None:
+    """``run --engine oracle --trace`` exits 1 naming both options, in every format: the oracle fires nothing."""
+    argvs = [("run", "--engine", "oracle", "--trace", "--format", fmt) for fmt in ("json", "table", "gantt-csv")]
+    for argv, (code, out, err) in outcomes(cli_module.main, argvs).items():
+        assert (code, out) == (1, ""), argv
+        assert err.splitlines()[-1] == "tcpnsched: error: argument --trace: not allowed with argument --engine oracle"
+
+
+def csv_suffix_in_any_case(cli_module) -> None:
+    """A workload file named ``W.CSV`` is read as CSV: its base name's suffix counts, in any case."""
+    table1 = builtin_paper_workload()
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "W.CSV")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(serialize_workload(table1, "csv"))
+        try:
+            processes = cli_module._load_workload(path).processes
+        except cli_module.WorkloadError as e:
+            raise AssertionError(f"W.CSV gave {e}") from e
+    assert processes == table1.processes
+
+
+#: Command lines on which ``cli._parse`` must do what the top-level parser's ``parse_args`` does.
+ARGV_GRID = [
+    # Every option of each subcommand, as "--opt v" and as "--opt=v".
+    ("run", "--workload", "w.json", "--policy", "sjf", "--engine", "oracle", "--format", "table", "--trace"),
+    ("run", "--workload=w.json", "--policy=sjf", "--engine=oracle", "--format=table", "--trace"),
+    ("compare", "--workload", "w.csv", "--policy", "pr"),
+    ("compare", "--workload=w.csv", "--policy=pr"),
+    ("fuzz", "--seed", "3", "--count", "2"),
+    ("fuzz", "--seed=3", "--count=2"),
+    ("run",),
+    ("compare",),
+    # A repeated option, abbreviations, and a value given to a flag.
+    ("run", "--policy", "sjf", "--policy", "pr"),
+    ("run", "--pol", "sjf"),
+    ("run", "--eng", "oracle"),
+    ("run", "--trace=1"),
+    # Help after the command.
+    *((command, flag) for command in ("run", "compare", "fuzz") for flag in ("-h", "--help")),
+    ("run", "--policy", "sjf", "-h", "--bogus"),
+    # An unknown option and a stray positional.
+    ("run", "--bogus"),
+    ("run", "--bogus", "1", "--policy", "sjf"),
+    ("run", "extra"),
+    ("compare", "extra", "more"),
+    ("fuzz", "--seed", "1", "extra"),
+    # "--" first, in the middle and last.
+    ("--", "run"),
+    ("run", "--", "--policy", "sjf"),
+    ("run", "--policy", "sjf", "--"),
+    ("run", "--"),
+    ("fuzz", "--seed", "1", "--", "--count", "2"),
+    # An option without its value, a bad choice, a missing required option.
+    ("run", "--policy"),
+    ("run", "--workload", "--trace"),
+    ("run", "--engine", "bogus"),
+    ("run", "--format", "bogus"),
+    ("fuzz", "--count", "1"),
+    ("fuzz", "--seed", "x"),
+    ("fuzz", "--workload", "x"),
+    # No subcommand first: the whole argv.
+    ("RUN",),
+    ("ru",),
+    ("-h",),
+    ("--help",),
+    (),
+    ("--policy", "sjf", "run"),
+]
+
+
+def parsed(parse, argv):
+    """``vars`` of the ``Namespace`` that ``parse(argv)`` returns, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ARGV_GRID, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parse_is_the_top_level_parse(argv):
+    assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
 
 
 def calls_are_independent(cli_module) -> None:
@@ -270,6 +372,18 @@ class TestRun:
                 assert code == 0, err
                 assert json.loads(out)["makespan"] == 19
 
+    def test_csv_suffix_in_any_case(self):
+        csv_suffix_in_any_case(cli)
+
+    def test_other_names_are_read_as_json(self, capsys, tmp_path, table1):
+        # Only the base name's own suffix counts: not a folder's, and no suffix is JSON.
+        (tmp_path / "d.csv").mkdir()
+        for path in (tmp_path / "d.csv" / "w.json", tmp_path / "noext"):
+            path.write_text(serialize_workload(table1, "json"), encoding="utf-8")
+            code, out, err = invoke(capsys, "run", "--workload", str(path))
+            assert (code, err) == (0, ""), path
+            assert json.loads(out)["makespan"] == 19
+
     def test_long_idle_gap_finishes_within_the_default_step_limit(self, capsys, tmp_path):
         # Idle jumps to the next arrival, so a 5,000,000-tick gap costs one firing.
         path = tmp_path / "gap.json"
@@ -412,10 +526,12 @@ class TestErrorPaths:
         assert code == 1
         assert "fcfs, sjf, pr, hrrn" in err
 
-    def test_missing_workload_file_exits_1(self, capsys):
-        code, _, err = invoke(capsys, "run", "--policy", "fcfs", "--workload", "no/such/file.json")
-        assert code == 1
-        assert "cannot read workload file" in err
+    def test_missing_workload_file_exits_1(self, capsys, tmp_path):
+        # A directory and the empty path cannot be read either.
+        for source in ("no/such/file.json", str(tmp_path), ""):
+            code, out, err = invoke(capsys, "run", "--policy", "fcfs", "--workload", source)
+            assert (code, out) == (1, ""), source
+            assert err.startswith(f"error: cannot read workload file {source!r}: ") and err.count("\n") == 1, err
 
     def test_malformed_workload_exits_1(self, capsys, tmp_path):
         huge = "9" * 5_000
@@ -476,21 +592,11 @@ class TestErrorPaths:
             code, out, _ = invoke(capsys, "run", "--policy", "fcfs")
             assert code == 0 and out == expected, raw
 
-    def test_step_limit_flag_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["run", "--step-limit", "3"])
-        assert exit_info.value.code == 1
-        assert "--step-limit" in capsys.readouterr().err
+    def test_step_limit_flag_is_a_usage_error(self):
+        step_limit_flag_is_a_usage_error(cli)
 
-    def test_oracle_trace_is_a_usage_error(self, capsys):
-        # The oracle fires no transitions, so it has no trace to print.
-        for fmt in ("json", "table", "gantt-csv"):
-            with pytest.raises(SystemExit) as exit_info:
-                cli.main(["run", "--engine", "oracle", "--trace", "--format", fmt])
-            assert exit_info.value.code == 1, fmt
-            captured = capsys.readouterr()
-            assert "--trace" in captured.err and "--engine oracle" in captured.err, captured.err
-            assert captured.out == "", fmt
+    def test_oracle_trace_is_a_usage_error(self):
+        oracle_trace_is_a_usage_error(cli)
 
     def test_usage_error_exits_1_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -607,6 +713,40 @@ class TestInProcess:
             assert cli.main(["run", "--policy", policy.value]) == 0
         assert built == []
         assert capsys.readouterr().err == ""
+
+    def test_a_call_naming_its_command_skips_the_top_level_parse(self, monkeypatch):
+        parser, passes = cli.build_parser(), []
+        real = parser.parse_known_args
+
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        for argv in (["run"], ["compare", "--policy", "pr"], ["fuzz", "--seed", "1", "--count", "1"]):
+            assert cli.main(argv) == 0, argv
+        assert passes == []
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert len(passes) == 1
+
+
+class TestInputContract:
+    """Any JSON text as a workload file: ``run`` exits 0 with a JSON document, or 1 with one ``error:`` line."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(ENTRIES, max_size=5) | JSON_VALUES)
+    def test_any_json_file_exits_0_or_1(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "contract.json"
+        path.write_text(json_text(value), encoding="utf-8")
+        argvs = [("run", "--workload", str(path), "--engine", engine) for engine in ("cpn", "oracle")]
+        for argv, (code, out, err) in outcomes(cli.main, argvs).items():
+            if code == 0:
+                assert err == "", argv
+                json.loads(out)
+            else:
+                assert (code, out) == (1, ""), (argv, err)
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 class TestCompare:

@@ -3,10 +3,13 @@
 Deleting code can leave an import behind that nothing reads any more. A name
 counts as used when the module reads it anywhere, in code or in a string
 annotation such as ``"ScheduleResult"``, or lists it in ``__all__``, as the
-package's ``__init__`` does to re-export names.
+package's ``__init__`` does to re-export names. The CLI's imports also leave
+out ``pathlib``, which a bare interpreter does not load on its own.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,14 @@ def test_the_check_sees_an_unused_import_and_a_string_annotation():
     )
     assert set(imported_names(tree)) == {"os", "TYPE_CHECKING", "IO", "ScheduleResult"}
     assert set(imported_names(tree)) - used_names(tree) == {"os", "IO"}
+
+
+def test_the_cli_does_not_import_pathlib():
+    # -I and -S: no site packages, no .pth file and no environment load pathlib first.
+    src = str(Path(tcpnsched.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tcpnsched.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('pathlib')))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

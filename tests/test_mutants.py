@@ -9,11 +9,14 @@ fragment occurs exactly once, so a refactor that moves the code breaks the
 row rather than making it vacuous, that the check passes on the real module,
 and that it fails on the mutant.
 
-Known equivalent mutants are not rows. One is ``main`` parsing every call
-into one ``Namespace`` kept with the cached parser: the subcommand's parser
-fills a fresh ``Namespace`` of its own, with all its defaults, and copies it
-over, so no option of ``run``, ``compare`` or ``fuzz`` outlives its call.
-The row ``namespace-kept-per-parser`` keeps one in every parser, the
+Known equivalent mutants are not rows. One is ``_parse`` handing every
+``argv`` to the top-level parser, the parse it replaces: every outcome is
+the same, which ``test_cli.py::test_parse_is_the_top_level_parse`` checks on
+a grid, and only the pass count differs, which
+``TestInProcess::test_a_call_naming_its_command_skips_the_top_level_parse``
+pins. Another keeps one ``Namespace`` for the top-level parser alone: that
+parser now only prints help or a usage error, so nothing it fills reaches a
+command. The row ``namespace-kept-per-parser`` keeps one in every parser, the
 subcommands' too, and that one leaks. ``insort_left`` in Activate is a row,
 ``hrrn-insort-left``: HRRN inserts by service time alone, so records tie.
 """
@@ -48,7 +51,15 @@ from tcpnsched import (
 )
 
 from helpers import odd_trace, run_on_closed_pipe
-from test_cli import GAPS, HRRN_EXPECTED, calls_are_independent, table_and_gantt_agree_with_document
+from test_cli import (
+    GAPS,
+    HRRN_EXPECTED,
+    calls_are_independent,
+    csv_suffix_in_any_case,
+    oracle_trace_is_a_usage_error,
+    step_limit_flag_is_a_usage_error,
+    table_and_gantt_agree_with_document,
+)
 from test_kernel import (
     initial_pairs_become_tokens,
     outputs_that_are_not_pairs_are_model_errors,
@@ -381,10 +392,26 @@ MUTANTS = [
         cli,
         "    def error(self, message: str):\n",
         "    def parse_known_args(self, args=None, namespace=None):\n"
-        "        return super().parse_known_args(args, vars(self).setdefault('kept', argparse.Namespace()))\n\n"
+        "        kept = vars(self).setdefault('kept', namespace or argparse.Namespace())\n"
+        "        return super().parse_known_args(args, kept)\n\n"
         "    def error(self, message: str):\n",
         calls_are_independent,
     ),
+    (
+        "dispatch-drops-extras",
+        cli,
+        '    if extras:\n        parser.error("unrecognized arguments: " + " ".join(extras))\n',
+        "",
+        step_limit_flag_is_a_usage_error,
+    ),
+    (
+        "dispatch-namespace-without-command",
+        cli,
+        "argparse.Namespace(command=argv[0])",
+        "argparse.Namespace()",
+        oracle_trace_is_a_usage_error,
+    ),
+    ("csv-suffix-case-sensitive", cli, 'suffix.lower() == ".csv"', 'suffix == ".csv"', csv_suffix_in_any_case),
     (
         "hrrn-head-group-only",
         oracle,

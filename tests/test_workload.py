@@ -18,6 +18,8 @@ from tcpnsched import (
     serialize_workload,
 )
 
+from helpers import ENTRIES, JSON_VALUES, JsonObject, json_text
+
 TABLE1_JSON = json.dumps(
     [
         {"pi": 1, "it": 6, "st": 4, "priority": 2},
@@ -420,43 +422,9 @@ class TestLaterEntries:
         assert str(info.value) == "entry 1: duplicate field 'st'"
 
 
-class _Object(tuple):
-    """A JSON object as its ``(key, value)`` pairs, so that a key may repeat."""
-
-
-def _json_text(value) -> str:
-    """``value`` as JSON text, each ``_Object`` with its pairs in order, repeats and all."""
-    if isinstance(value, _Object):
-        return "{" + ", ".join(f"{json.dumps(key)}: {_json_text(v)}" for key, v in value) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(map(_json_text, value)) + "]"
-    return json.dumps(value)
-
-
-_KEYS = st.sampled_from(["pi", "it", "st", "priority", "wt", "es", "PI", ""]) | st.text(max_size=3)
-#: Any JSON value: ints, bools, floats (inf and nan too), strings, null, arrays and objects.
-_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.lists(st.tuples(_KEYS, inner), max_size=4).map(_Object),
-    max_leaves=8,
-)
-#: An object with the known keys, each once, in any order, and small int values.
-_WELL_FORMED = st.permutations(["pi", "it", "st", "priority"]).flatmap(
-    lambda names: st.tuples(*(st.tuples(st.just(name), st.integers(-1, 9)) for name in names)).map(_Object)
-)
-#: An array entry: most often well-formed, so that bad entries come after good ones; else an
-#: object of any keys and values, or any other value.
-_ENTRIES = st.one_of(
-    _WELL_FORMED,
-    _WELL_FORMED,
-    st.lists(st.tuples(_KEYS, st.integers(-1, 9) | _VALUES), max_size=5).map(_Object),
-    _VALUES,
-)
-
-
 def flagged(entry) -> bool:
     """Whether an array entry is bad by itself: not an object, a wrong key set or a value that is not an int."""
-    if not isinstance(entry, _Object):
+    if not isinstance(entry, JsonObject):
         return True
     names = [name for name, _ in entry]
     return (
@@ -470,10 +438,10 @@ class TestInputContract:
     """Any JSON text parses to a ``Workload`` or raises ``WorkloadError``, naming the first bad entry."""
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    @given(st.lists(_ENTRIES, max_size=5) | _VALUES)
+    @given(st.lists(ENTRIES, max_size=5) | JSON_VALUES)
     def test_any_json_gives_a_workload_or_a_workload_error(self, value):
         try:
-            parse_workload(_json_text(value), fmt="json")
+            parse_workload(json_text(value), fmt="json")
             message = None
         except WorkloadError as e:
             message = str(e)
