@@ -9,7 +9,6 @@ from .kernel import (
     StepLimitExceeded,
     TimedToken,
     Transition,
-    advance_clock,
     run,
     steps,
     trace_records,
@@ -53,7 +52,6 @@ __all__ = [
     "Transition",
     "Workload",
     "WorkloadError",
-    "advance_clock",
     "build_net",
     "builtin_paper_workload",
     "compute_metrics",

@@ -6,17 +6,20 @@ read input tokens are ready at the current clock and its guard evaluates
 true on the input values. Firing the enabled transition of lowest rank takes
 five steps in this order: check the firing budget; run the action on the
 same mapping of input values its guard saw; check that its outputs rewrite
-exactly the consumed places; build each output ``(value, ready_time)`` pair
-into a token, checking that it is a pair whose ready-time compares with the
-clock and is not before it, and write it into the marking; then, when the
-state keeps a trace, append one event to it. ``steps`` builds every token,
-from each initial pair when the first step starts and from each pair an
-action writes, so the marking holds only ``TimedToken``s while callers and
-actions give plain pairs. A consumed token leaves the marking, so the action
-owns the values of its consumed places: it may update them in place and
-return them in its outputs. It never changes a read place. When nothing is
-enabled, the clock jumps to the smallest token ready-time strictly ahead of
-it; if no token lies ahead, the run halts.
+exactly the consumed places; write them into the marking; then, when the
+state keeps a trace, append one event to it. A consumed token leaves the
+marking, so the action owns the values of its consumed places: it may
+update them in place and return them in its outputs. It never changes a
+read place. When nothing is enabled, the clock jumps to the smallest token
+ready-time strictly ahead of it; if no token lies ahead, the run halts.
+
+One loop in ``steps`` writes every token. Its first write is the initial
+marking, by no transition; each later one is a firing's outputs. It builds
+each ``(value, ready_time)`` pair into a ``TimedToken``, checking that it is
+a pair whose ready-time compares with the clock and, unless it is initial,
+is not before it. So the marking holds only ``TimedToken``s while callers
+and actions give plain pairs, and a bad token is an EngineError naming the
+place and its writer.
 
 Guards must be pure predicates over (input values, clock); all state change
 belongs in actions. Same-instant conflicts are resolved by static transition
@@ -136,6 +139,11 @@ def advance_clock(net: Net, state: EngineState) -> int | None:
     return state.clock
 
 
+def _writer(t: Transition | None) -> str:
+    """Who wrote a token, as an EngineError words it: a transition, or the initial marking."""
+    return "initial marking gives" if t is None else f"transition {t.name!r} wrote"
+
+
 def steps(
     net: Net, state: EngineState, step_limit: int = DEFAULT_STEP_LIMIT
 ) -> Iterator[Transition | None]:
@@ -147,22 +155,18 @@ def steps(
     Deterministic: identical inputs give identical traces.
 
     The marking, the clock and ``state.trace`` are read once, when the first
-    step starts, which makes each initial pair a ``TimedToken``; changes
-    made to ``state`` from outside after that are not seen. From then on the
-    kernel keeps each place's ready-time and each input mapping current as
-    it writes places, so a step rebuilds nothing. ``state.marking`` and
-    ``state.clock`` are current after every step. Transitions with the same
-    input places share one mapping. A guard or action gets it as a read-only
-    view that is valid during the call only: it holds exactly the
-    transition's input places, in no set order.
+    step starts and writes the initial marking; changes made to ``state``
+    from outside after that are not seen. From then on the kernel keeps each
+    place's ready-time and each input mapping current as it writes places,
+    so a step rebuilds nothing. ``state.marking`` and ``state.clock`` are
+    current after every step. Transitions with the same input places share
+    one mapping. A guard or action gets it as a read-only view that is valid
+    during the call only: it holds exactly the transition's input places, in
+    no set order.
 
     A guard or action that raises an exception other than EngineError is
     reported as an EngineError naming the transition and the clock (writing
-    into the mapping is one); an EngineError passes through unchanged. An
-    output that is not a (value, ready_time) pair, or whose ready-time does
-    not compare with the clock, is an EngineError naming the transition and
-    the place; such an initial token is one naming the place, raised when
-    the first step starts.
+    into the mapping is one); an EngineError passes through unchanged.
 
     Raises StepLimitExceeded when the firing budget runs out, which points
     at a non-terminating net.
@@ -172,24 +176,10 @@ def steps(
         raise EngineError(f"initial marking does not cover place {missing[0]!r}")
 
     marking, clock, trace = state.marking, state.clock, state.trace
+    # One mapping per distinct input set, empty until the first write fills
+    # it; readers[name] lists the mappings that hold place ``name``, each of
+    # which a write to it updates.
     ready_at = {}
-    for name, pair in marking.items():
-        try:
-            # Targets bind left to right: a bad pair raises before it is stored.
-            _, ready_at[name] = marking[name] = tuple.__new__(TimedToken, pair)
-        except (TypeError, ValueError):
-            raise EngineError(
-                f"initial marking gives place {name!r} {pair!r:.40}, not a (value, ready_time) pair"
-            ) from None
-        try:
-            ready_at[name] < clock  # every later step compares it so
-        except TypeError:
-            raise EngineError(
-                f"initial marking gives place {name!r} ready-time {ready_at[name]!r:.40}, "
-                "which does not compare with the clock"
-            ) from None
-    # One mapping per distinct input set; readers[name] lists the mappings
-    # that hold place ``name``, each of which a write to it updates.
     mappings = {}
     readers = {name: [] for name in marking}
     arcs = []
@@ -197,14 +187,45 @@ def steps(
         inputs = t.consumed + t.reads
         key = frozenset(inputs)
         if key not in mappings:
-            values = {name: marking[name][0] for name in inputs}
+            values = {}
             mappings[key] = MappingProxyType(values)
-            for name in values:
+            for name in key:
                 readers[name].append(values)
         arcs.append((t, t.guard, inputs, mappings[key], set(t.consumed)))
 
-    firings = 0
+    # The first write is the initial marking, by no transition.
+    t, outputs, firings = None, marking, 0
     while True:
+        for name, pair in outputs.items():
+            # tuple.__new__ builds the token in C, as namedtuple's _make does.
+            try:
+                token = tuple.__new__(TimedToken, pair)
+                value, ready_time = token
+            except (TypeError, ValueError):
+                raise EngineError(
+                    f"{_writer(t)} place {name!r} {pair!r:.40}, not a (value, ready_time) pair"
+                ) from None
+            try:
+                if ready_time < clock and t is not None:
+                    raise EngineError(
+                        f"transition {t.name!r} would move place {name!r} "
+                        f"back in time ({ready_time} < {clock})"
+                    )
+            except TypeError:
+                raise EngineError(
+                    f"{_writer(t)} place {name!r} ready-time {ready_time!r:.40}, "
+                    "which does not compare with the clock"
+                ) from None
+            marking[name] = token
+            ready_at[name] = ready_time
+            for mapping in readers[name]:
+                mapping[name] = value
+        if t is not None:
+            if trace is not None:
+                trace.append(FiringEvent(t.name, clock, detail))
+            firings += 1
+            yield t
+
         # Enabling: stop at the first transition, in rank order, whose input
         # tokens are all ready and whose guard holds; if none, advance the clock.
         for t, guard, inputs, values, consumed in arcs:
@@ -224,9 +245,10 @@ def steps(
                 return
             clock = state.clock
             yield None
+            t, outputs = None, {}
             continue
 
-        # Firing, in the module docstring's order.
+        # Firing, in the module docstring's order; the top of the loop writes.
         if firings >= step_limit:
             raise StepLimitExceeded(f"net {net.name!r} did not halt within {step_limit} firings")
         try:
@@ -240,43 +262,13 @@ def steps(
                 f"transition {t.name!r} must rewrite exactly its consumed places "
                 f"{sorted(t.consumed)}, wrote {sorted(outputs)}"
             )
-        for name, pair in outputs.items():
-            # tuple.__new__ builds the token in C, as namedtuple's _make does.
-            try:
-                token = tuple.__new__(TimedToken, pair)
-                value, ready_time = token
-            except (TypeError, ValueError):
-                raise EngineError(
-                    f"transition {t.name!r} wrote place {name!r} {pair!r:.40}, "
-                    "not a (value, ready_time) pair"
-                ) from None
-            try:
-                if ready_time < clock:
-                    raise EngineError(
-                        f"transition {t.name!r} would move place {name!r} "
-                        f"back in time ({ready_time} < {clock})"
-                    )
-            except TypeError:
-                raise EngineError(
-                    f"transition {t.name!r} wrote place {name!r} ready-time {ready_time!r:.40}, "
-                    "which does not compare with the clock"
-                ) from None
-            marking[name] = token
-            ready_at[name] = ready_time
-            for mapping in readers[name]:
-                mapping[name] = value
-        if trace is not None:
-            trace.append(FiringEvent(t.name, clock, detail))
-        firings += 1
-        yield t
 
 
 def run(net: Net, initial: EngineState, step_limit: int = DEFAULT_STEP_LIMIT) -> EngineState:
     """Exhaust ``steps`` on a copy of ``initial`` and return the final state.
 
-    An initial token may be any (value, ready_time) pair, as in ``steps``,
-    which builds the tokens; one that is not a pair is passed on as it is,
-    for ``steps`` to reject. Each value is shallow-copied once, so actions
+    An initial token that is not a pair is passed on as it is, for ``steps``
+    to reject. Each value is shallow-copied once, so actions
     that update their values in place leave ``initial`` untouched. The final
     state's trace is ``copy.copy`` of the initial one, a sink of the same
     kind: a ``deque(maxlen=3)`` comes back as a ring holding the last three

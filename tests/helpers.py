@@ -1,4 +1,4 @@
-"""Shared test utilities: corpora, a checked step-driver, invariant asserts and JSON input strategies."""
+"""Shared test utilities: corpora, a checked step-driver, invariant asserts and input-file strategies."""
 
 from __future__ import annotations
 
@@ -219,3 +219,59 @@ ENTRIES = st.one_of(
     st.lists(st.tuples(_KEYS, st.integers(-1, 9) | JSON_VALUES), max_size=5).map(JsonObject),
     JSON_VALUES,
 )
+
+
+def _valid_entry(pi: int, it: int, st_: int, priority: int | None):
+    """The entry of one valid process, its keys in any order; without ``priority`` when it is None."""
+    fields = [("pi", pi), ("it", it), ("st", st_)] + ([] if priority is None else [("priority", priority)])
+    return st.permutations(fields).map(JsonObject)
+
+
+#: A valid workload array: distinct indexes >= 1, arrivals >= 0 and service times >= 1,
+#: each entry with or without ``priority`` and with its keys in any order.
+VALID_ARRAYS = st.lists(
+    st.tuples(
+        st.integers(1, 50),
+        st.integers(0, 30) | st.integers(0, 2**63),
+        st.integers(1, 9) | st.integers(1, 2**63),
+        st.none() | st.integers(-9, 9),
+    ),
+    max_size=8,
+    unique_by=lambda row: row[0],
+).flatmap(lambda rows: st.tuples(*(_valid_entry(*row) for row in rows)).map(list))
+
+#: CSV cells: mostly small integers, else the cells that have their own rule or their own
+#: trap: signs, leading zeros and spaces, an empty cell, ``1_0``, non-ASCII digits, a float,
+#: a quoted comma, NUL, a digit run beyond Python's 4,300-digit cap, or any short text.
+_CSV_CELLS = st.one_of(
+    st.integers(0, 30).map(str),
+    st.integers(0, 30).map(str),
+    st.sampled_from(
+        ["", " ", " 7 ", "+3", "-1", "-0", "007", "1_0", "\u0663", "\uff11", "1.0", '"1,2"', '"4"', "\x00"]
+    ),
+    st.integers(4_301, 4_400).map(lambda n: "9" * n),
+    st.text(max_size=3),
+)
+#: A CSV header: the known columns in any order, with or without ``priority``,
+#: or any run of known, unknown, padded and repeated names.
+_CSV_HEADERS = st.one_of(
+    st.permutations(["pi", "it", "st", "priority"]),
+    st.permutations(["pi", "it", "st"]),
+    st.lists(st.sampled_from(["pi", "it", "st", "priority", " st ", "wt", "PI", ""]), max_size=6),
+)
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """CSV workload text: a header, then rows that are mostly as wide as it, some ragged or blank.
+
+    Each line ends in LF, CRLF or CR, and the last one may end in nothing.
+    """
+    header = draw(_CSV_HEADERS)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(st.sampled_from([len(header)] * 4 + [0, len(header) + 1, max(len(header) - 1, 0)]))
+        lines.append(",".join(draw(st.lists(_CSV_CELLS, min_size=width, max_size=width))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    return "".join(line + end for line, end in zip(lines, ends))

@@ -35,7 +35,7 @@ from tcpnsched import (
 )
 from tcpnsched import cli
 
-from helpers import ENTRIES, JSON_VALUES, json_text, odd_trace, run_on_closed_pipe
+from helpers import ENTRIES, JSON_VALUES, VALID_ARRAYS, csv_texts, json_text, odd_trace, run_on_closed_pipe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -732,21 +732,50 @@ class TestInProcess:
 
 
 class TestInputContract:
-    """Any JSON text as a workload file: ``run`` exits 0 with a JSON document, or 1 with one ``error:`` line."""
+    """Any JSON or CSV text as a workload file: ``run`` exits 0 with a JSON document, or 1 with one ``error:`` line.
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(st.lists(ENTRIES, max_size=5) | JSON_VALUES)
-    def test_any_json_file_exits_0_or_1(self, tmp_path_factory, value):
-        path = tmp_path_factory.getbasetemp() / "contract.json"
-        path.write_text(json_text(value), encoding="utf-8")
+    A valid file exits 0 under every policy, and both engines print the same document.
+    """
+
+    @staticmethod
+    def assert_exits_0_or_1(path) -> None:
         argvs = [("run", "--workload", str(path), "--engine", engine) for engine in ("cpn", "oracle")]
-        for argv, (code, out, err) in outcomes(cli.main, argvs).items():
+        seen = outcomes(cli.main, argvs)
+        for argv, (code, out, err) in seen.items():
             if code == 0:
                 assert err == "", argv
                 json.loads(out)
             else:
                 assert (code, out) == (1, ""), (argv, err)
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        cpn, oracle = seen.values()
+        assert cpn == oracle
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(ENTRIES, max_size=5) | JSON_VALUES)
+    def test_any_json_file_exits_0_or_1(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "contract.json"
+        path.write_text(json_text(value), encoding="utf-8")
+        self.assert_exits_0_or_1(path)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(csv_texts())
+    def test_any_csv_file_exits_0_or_1(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "contract.csv"
+        # Text with a lone surrogate is a file that is not UTF-8, which is input too.
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        self.assert_exits_0_or_1(path)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(VALID_ARRAYS)
+    def test_valid_file_exits_0_alike_under_both_engines(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "valid.json"
+        path.write_text(json_text(value), encoding="utf-8")
+        for policy in Policy:
+            argv = ("run", "--workload", str(path), "--policy", policy.value, "--engine")
+            cpn, oracle = outcomes(cli.main, [(*argv, "cpn"), (*argv, "oracle")]).values()
+            assert cpn[0] == 0 and cpn[2] == "", cpn
+            assert oracle == cpn
 
 
 class TestCompare:

@@ -15,7 +15,6 @@ from tcpnsched import (
     StepLimitExceeded,
     TimedToken,
     Transition,
-    advance_clock,
     build_net,
     builtin_paper_workload,
     kernel,
@@ -24,6 +23,7 @@ from tcpnsched import (
     steps,
     trace_records,
 )
+from tcpnsched.kernel import advance_clock
 from tcpnsched.sched import FINISHED, NEW_TASKS, READY_QUEUE, RUNNING
 
 
@@ -102,7 +102,7 @@ def ready_times_that_do_not_compare_are_model_errors(kernel_module) -> None:
 
     Written by an action, as the second item of ``"ab"`` or of ``(1, None)``,
     the error names the transition too; in an initial token, it is raised
-    where ``steps`` first reads the marking.
+    when the first step starts and writes the initial marking.
     """
     k = kernel_module
     for output, ready_time in (("ab", "'b'"), ((1, None), "None")):

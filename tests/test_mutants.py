@@ -473,8 +473,8 @@ MUTANTS = [
     (
         "initial-token-left-a-pair",
         kernel,
-        "marking[name] = tuple.__new__(TimedToken, pair)",
-        "marking[name] = pair",
+        "marking[name] = token",
+        "marking[name] = token if t is not None else pair",
         steps_makes_initial_pairs_tokens,
     ),
     (
@@ -501,16 +501,23 @@ MUTANTS = [
     (
         "written-ready-time-unchecked",
         kernel,
-        "            except TypeError:\n                raise EngineError(\n                    f\"transition {t.name!r} wrote",
-        "            except ValueError:\n                raise EngineError(\n                    f\"transition {t.name!r} wrote",
+        "            except TypeError:\n                raise EngineError(\n                    f\"{_writer(t)} place {name!r} ready-time",
+        "            except ValueError:\n                raise EngineError(\n                    f\"{_writer(t)} place {name!r} ready-time",
         ready_times_that_do_not_compare_are_model_errors,
     ),
     (
         "initial-ready-time-unchecked",
         kernel,
-        "ready_at[name] < clock  # every later step compares it so",
-        "pass",
+        "ready_time < clock and t is not None",
+        "t is not None and ready_time < clock",
         ready_times_that_do_not_compare_are_model_errors,
+    ),
+    (
+        "initial-token-held-to-the-clock",
+        kernel,
+        "ready_time < clock and t is not None",
+        "ready_time < clock",
+        kernel_agrees_with_reference,
     ),
     (
         "reader-mapping-skipped",
