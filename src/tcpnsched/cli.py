@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import random
@@ -319,6 +320,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run" and args.trace and args.engine == "oracle":
         # The oracle fires no transitions, so it has no trace to print.
         build_parser().error("argument --trace: not allowed with argument --engine oracle")
+    # A command's records hold no reference cycles and live until it ends, so
+    # a cyclic collection during it frees nothing; the caller's setting comes back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -339,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -70,18 +70,24 @@ def main(argv: list[str]) -> int:
     files = module_files()
     ran: dict[str, set[int]] = {path: set() for path in files.values()}
 
-    def trace(frame, event, arg):
-        path = files.get(frame.f_globals.get("__name__"))
-        if path is None or frame.f_code.co_filename != path:
-            return None
-        seen = ran[path]
-
+    def line_tracer(seen: set[int]):
         def line(frame, event, arg):
             if event == "line":
                 seen.add(frame.f_lineno)
             return line
 
         return line
+
+    # One local tracer per file, made once: a closure that returns itself is a
+    # reference cycle, and one made per frame would leave cyclic garbage that
+    # the package's code never made (tests/test_cli.py::TestCollector counts it).
+    tracers = {path: line_tracer(ran[path]) for path in files.values()}
+
+    def trace(frame, event, arg):
+        path = files.get(frame.f_globals.get("__name__"))
+        if path is None or frame.f_code.co_filename != path:
+            return None
+        return tracers[path]
 
     if "tcpnsched" in sys.modules:
         raise SystemExit("tcpnsched was imported before the tracer started")

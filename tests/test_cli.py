@@ -1,5 +1,6 @@
 import codecs
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -36,6 +37,7 @@ from tcpnsched import (
 from tcpnsched import cli
 
 from helpers import ENTRIES, JSON_VALUES, VALID_ARRAYS, csv_texts, json_text, odd_trace, run_on_closed_pipe
+from test_acceptance import scale_workload
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -222,6 +224,52 @@ def calls_are_independent(cli_module) -> None:
     assert [code for code, _, _ in forward.values()].count(1) == 3
     for argv, (code, out, _) in forward.items():
         assert ('"transition"' in out) == ("--trace" in argv and code == 0), argv
+
+
+def collector_is_left_as_found(cli_module) -> None:
+    """``main`` leaves the cyclic collector on, or off, as it found it, on every way out.
+
+    The ways out: exit 0 from each command; exit 1 from a bad workload file
+    and from ``fuzz --count -1``; exit 2 from a layer that raises; and a
+    ``KeyboardInterrupt`` from a layer, which ``main`` lets through. The
+    check puts back the collector's state itself, so a mutant that leaves it
+    off does not leave it off for the tests that follow.
+    """
+
+    def fault(*args):
+        raise ZeroDivisionError("simulated bug")
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    was, real = gc.isenabled(), cli_module.compute_metrics
+    with tempfile.TemporaryDirectory() as folder:
+        bad = os.path.join(folder, "bad.json")
+        with open(bad, "w", encoding="utf-8") as f:
+            f.write('[{"pi": 1, "it": 0, "st": 1, "wt": 0}]')
+        calls = [
+            (["run"], None, 0),
+            (["compare"], None, 0),
+            (["fuzz", "--seed", "1", "--count", "2"], None, 0),
+            (["run", "--workload", bad], None, 1),
+            (["fuzz", "--seed", "1", "--count", "-1"], None, 1),
+            (["run"], fault, 2),
+            (["run"], interrupt, KeyboardInterrupt),
+        ]
+        try:
+            for enabled in (True, False):
+                for argv, layer, expected in calls:
+                    gc.enable() if enabled else gc.disable()
+                    cli_module.compute_metrics = layer or real
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        try:
+                            code = cli_module.main(argv)
+                        except KeyboardInterrupt:
+                            code = KeyboardInterrupt
+                    assert (code, gc.isenabled()) == (expected, enabled), (argv, layer)
+        finally:
+            cli_module.compute_metrics = real
+            gc.enable() if was else gc.disable()
 
 
 def table_and_gantt_agree_with_document(cli_module) -> None:
@@ -729,6 +777,73 @@ class TestInProcess:
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         assert len(passes) == 1
+
+
+def cyclic_garbage(argv) -> tuple[int, int]:
+    """``main(argv)``'s exit code, and the objects it left that only a cyclic collection frees.
+
+    The call runs with the collector paused. Objects that were there before
+    it are frozen, so the count is the call's alone, and the collection that
+    counts walks only what the call left.
+    """
+    was = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        return code, gc.collect()
+    finally:
+        gc.unfreeze()
+        if was:
+            gc.enable()
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector for a command, which is safe because a command makes no cycles."""
+
+    def test_main_leaves_the_collector_as_it_found_it(self):
+        collector_is_left_as_found(cli)
+
+    def test_commands_leave_no_cyclic_garbage(self, tmp_path):
+        # If a command starts to leave cycles, this names it: it would then need the collector.
+        cyclic_garbage(["run"])  # the first call in a process sets up what later calls reuse
+        gaps, bad_field, bad_json = tmp_path / "gaps.json", tmp_path / "bad-field.json", tmp_path / "bad.json"
+        gaps.write_text(GAPS, encoding="utf-8")
+        bad_field.write_text('[{"pi": 1, "it": 0, "st": 1, "wt": 0}]', encoding="utf-8")
+        bad_json.write_text('[{"pi": 1,', encoding="utf-8")
+        calls = [
+            *(
+                (("run", "--workload", source, "--policy", policy.value, "--engine", engine, "--format", fmt), 0)
+                for source in ("paper-table1", str(gaps))
+                for policy in Policy
+                for engine in ("cpn", "oracle")
+                for fmt in ("json", "table", "gantt-csv")
+            ),
+            *((("compare", "--policy", policy.value), 0) for policy in Policy),
+            (("fuzz", "--seed", "1", "--count", "30"), 0),
+            (("run", "--workload", str(bad_field)), 1),
+            (("run", "--workload", str(bad_json)), 1),
+            (("run", "--workload", str(tmp_path / "missing.json")), 1),
+            (("run", "--policy", "bogus"), 1),
+            (("fuzz", "--seed", "1", "--count", "-1"), 1),
+        ]
+        for argv, code in calls:
+            assert cyclic_garbage(argv) == (code, 0), argv
+
+    def test_traced_json_garbage_does_not_grow_with_n(self, tmp_path):
+        # Where json.dumps(..., indent=2) runs the pure-Python encoder, each
+        # layout it makes leaves closures that refer to each other: their
+        # number is bounded by the shapes of the trace, not by its length.
+        cyclic_garbage(["run"])
+        counts = []
+        for n in (500, 2_500):
+            path = tmp_path / f"bursty-{n}.json"
+            path.write_text(serialize_workload(scale_workload(n=n)), encoding="utf-8")
+            code, garbage = cyclic_garbage(["run", "--workload", str(path), "--trace", "--format", "json"])
+            assert code == 0, n
+            counts.append(garbage)
+        assert counts[0] == counts[1], counts
 
 
 class TestInputContract:

@@ -55,6 +55,7 @@ from test_cli import (
     GAPS,
     HRRN_EXPECTED,
     calls_are_independent,
+    collector_is_left_as_found,
     csv_suffix_in_any_case,
     oracle_trace_is_a_usage_error,
     step_limit_flag_is_a_usage_error,
@@ -386,6 +387,20 @@ MUTANTS = [
         "        return EXIT_INTERNAL\n",
         "",
         program_faults_exit_2,
+    ),
+    (
+        "gc-not-restored",
+        cli,
+        "    finally:\n        if collecting:\n            gc.enable()\n",
+        "",
+        collector_is_left_as_found,
+    ),
+    (
+        "gc-enabled-unconditionally",
+        cli,
+        "        if collecting:\n            gc.enable()\n",
+        "        gc.enable()\n",
+        collector_is_left_as_found,
     ),
     (
         "namespace-kept-per-parser",

@@ -20,6 +20,11 @@ prints, parsed. Integers are compared exactly and floats with
 - **Late arrival.** A process with a fresh index that arrives at the
   makespan runs last, at once; every earlier record and idle interval stays.
 - **Input order.** Any permutation of the input gives the same document.
+- **Relabel.** Mapping every index through an increasing function gives
+  the same document under the new indexes.
+- **PR offset.** Adding c ≥ 1 to every static priority moves each PR
+  record's priority by c and changes nothing else; the other policies do
+  not read static priorities, so their documents stay.
 
 One Hypothesis test draws a workload and checks every relation on it, so
 that the documents of the workload are made once. It sets no settings of
@@ -28,6 +33,7 @@ its own, so the profile that ``conftest.py`` loads applies.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 
@@ -157,26 +163,49 @@ def check_late_arrival(w: Workload, befores: dict, s: int, priority: int, path) 
             assert_same(expected, after, f"late {policy.value}")
 
 
-def check_input_order(befores: dict, shuffled: tuple, path) -> None:
-    afters = documents(Workload(shuffled), path)
+def check_entry_map(befores: dict, processes: tuple, entry, path, label: str) -> None:
+    """The workload of ``processes`` gives each document with every process entry ``e`` made ``entry(policy, e)``."""
+    afters = documents(Workload(processes), path)
     for policy in Policy:
         for before, after in zip(befores[policy], afters[policy]):
-            assert_same(before, after, f"shuffled {policy.value}")
+            expected = {**before, "processes": [entry(policy, e) for e in before["processes"]]}
+            assert_same(expected, after, f"{label} {policy.value}")
+
+
+def raised(policy: Policy, entry: dict, c: int) -> dict:
+    """A process entry after every static priority rose by ``c``: only PR's priority moves."""
+    return {**entry, "pr": [entry["pr"][0] + c, entry["pr"][1]]} if policy is Policy.PR else entry
+
+
+def relabelling(processes: tuple, gaps: list[int]) -> dict[int, int]:
+    """An increasing map of the indexes of ``processes``: the k-th smallest goes to the sum of the first k gaps."""
+    return dict(zip(sorted(p.pi for p in processes), itertools.accumulate(gaps)))
 
 
 @given(
-    WORKLOADS.flatmap(lambda w: st.tuples(st.just(w), st.permutations(w.processes).map(tuple))),
+    WORKLOADS.flatmap(
+        lambda w: st.tuples(
+            st.just(w),
+            st.permutations(w.processes).map(tuple),
+            st.lists(st.integers(1, 9) | st.integers(1, 2**63), min_size=len(w), max_size=len(w)),
+        )
+    ),
     st.integers(1, 2**63),
     st.integers(2, 9) | st.integers(2, 2**63),
     SERVICES,
     st.integers(0, 9),
 )
 def test_every_relation_holds(tmp_path_factory, case, c, k, s, priority):
-    """Each relation, on one drawn workload: shift by ``c``, scale by ``k``, a late arrival, a permutation."""
-    w, shuffled = case
+    """Each relation on one drawn workload: shift by ``c``, scale by ``k``, late arrival, permutation, relabel, PR offset ``c``."""
+    w, shuffled, gaps = case
     path = tmp_path_factory.getbasetemp() / "relation.json"
     befores = documents(w, path)
     check_time_map(w, befores, lambda t: t + c, lambda d: d, path, "shifted")
     check_time_map(w, befores, lambda t: t * k, lambda d: d * k, path, "scaled")
     check_late_arrival(w, befores, s, priority, path)
-    check_input_order(befores, shuffled, path)
+    check_entry_map(befores, shuffled, lambda policy, e: e, path, "shuffled")
+    labels = relabelling(w.processes, gaps)
+    relabelled = tuple(p._replace(pi=labels[p.pi]) for p in w.processes)
+    check_entry_map(befores, relabelled, lambda policy, e: {**e, "pi": labels[e["pi"]]}, path, "relabelled")
+    offset = tuple(p._replace(pr=PriorityPair(p.pr.major + c, 0)) for p in w.processes)
+    check_entry_map(befores, offset, lambda policy, e: raised(policy, e, c), path, "offset")
