@@ -111,6 +111,20 @@ _IDLE_LAYOUT = _layout(_ZEROS["idle"][0], "    ")
 _PROCESS_LAYOUT = _layout(_ZEROS["processes"][0], "    ")
 _AGGREGATES_LAYOUT = _layout(_ZEROS["aggregates"], "  ")
 _TOP_LAYOUTS = [_layout(dict.fromkeys(keys, 0), "") for keys in ([*_ZEROS], [*_ZEROS, "trace"])]
+#: The text before, between and after the items of a list of ints in a trace detail, at depth 4, from a
+#: pair's layout: a list's length varies with the data, so lists are joined rather than laid out.
+_LIST_HEAD, _LIST_ITEM_JOIN, _LIST_TAIL = _layout([0, 0], " " * 8).split("%s")
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_layout(shape: tuple) -> tuple[str, str]:
+    """The layout of a trace entry, and its name's JSON text, made once for each of the last 64 shapes.
+
+    A ``shape`` is ``(type(name), name, *keys, *map(type, keys))`` of a transition name and detail keys.
+    """
+    name, *keys = shape[1 : len(shape) // 2 + 1]
+    sample = {"t": 0, "transition": 0, "detail": dict.fromkeys(keys, 0)}
+    return _layout(sample, "    "), json.dumps(name, indent=2).replace("\n", "\n" + " " * 6)
 
 
 def _array(entries: list[str]) -> str:
@@ -143,8 +157,6 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     values = [json.dumps(result.policy.value), result.makespan, result.lead_in, total_idle]
     values += _array(list(map(_IDLE_LAYOUT.__mod__, result.idle_intervals))), _array(processes), aggregates
     if trace is not None:
-        layouts: dict[tuple, tuple[str, str]] = {}
-        lists: dict[int, str] = {}
         entries = []
         for transition, t, detail in trace:
             if type(t) is not int:
@@ -155,17 +167,10 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
                     if type(value) is not list or not set(map(type, value)) <= {int}:
                         where = f"trace record of {transition!r}: {key!r} is {value!r:.40}"
                         raise TypeError(f"{where}, not an integer or a list of integers")
-                    # A list in a detail lies at depth 4.
-                    n = len(value)
-                    value = (lists.get(n) or lists.setdefault(n, _layout([0] * n, " " * 8))) % tuple(value)
+                    value = _LIST_HEAD + _LIST_ITEM_JOIN.join(map(str, value)) + _LIST_TAIL if value else "[]"
                 fill.append(value)
             # Types tell apart names and keys that compare equal but print apart: 0, False and 0.0.
-            shape = (type(transition), transition, *detail, *map(type, detail))
-            if shape not in layouts:
-                sample = {"t": 0, "transition": 0, "detail": dict.fromkeys(detail, 0)}
-                name = json.dumps(transition, indent=2).replace("\n", "\n" + " " * 6)
-                layouts[shape] = _layout(sample, "    "), name
-            layout, fill[1] = layouts[shape]
+            layout, fill[1] = _trace_layout((type(transition), transition, *detail, *map(type, detail)))
             entries.append(layout % tuple(fill))
         values.append(_array(entries))
     return _TOP_LAYOUTS[trace is not None] % tuple(values)

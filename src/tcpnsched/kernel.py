@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
@@ -91,38 +91,73 @@ class Transition:
     reads: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Net:
+class _Record:
+    """Fields named by ``__slots__``, set in order by ``__init__``, then frozen unless a subclass is mutable.
+
+    ``==``, ``hash`` and ``repr`` read them as a dataclass does. A copy or an unpickled
+    record is built by calling its class, so it passes the checks of that class's ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: Any) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Net(_Record):
     """A transition set over a fixed place set, ordered by firing rank."""
 
-    name: str
-    places: tuple[str, ...]
-    transitions: tuple[Transition, ...]
+    __slots__ = ("name", "places", "transitions")
 
-    def __post_init__(self) -> None:
-        declared = set(self.places)
-        for t in self.transitions:
+    def __init__(self, name: str, places: tuple[str, ...], transitions: tuple[Transition, ...]) -> None:
+        declared = set(places)
+        for t in transitions:
             undeclared = set(t.consumed + t.reads) - declared
             if undeclared:
-                raise EngineError(
-                    f"transition {t.name!r} uses undeclared place {sorted(undeclared)[0]!r}"
-                )
-        ordered = tuple(sorted(self.transitions, key=lambda t: (t.rank, t.name)))
-        object.__setattr__(self, "transitions", ordered)
+                raise EngineError(f"transition {t.name!r} uses undeclared place {sorted(undeclared)[0]!r}")
+        super().__init__(name, places, tuple(sorted(transitions, key=lambda t: (t.rank, t.name))))
 
 
-@dataclass
-class EngineState:
+_NEW_LIST: Any = object()
+
+
+class EngineState(_Record):
     """Marking, clock and trace of one run. The clock never decreases.
 
     ``trace`` is a sink that each firing appends its event to, such as a
-    list or a ``deque(maxlen=k)``, or None to keep no trace, so that a run
-    builds no event at all.
+    list or a ``deque(maxlen=k)`` (by default, a new list), or None to keep
+    no trace, so that a run builds no event at all. Its fields can be assigned.
     """
 
-    marking: dict[str, TimedToken]
-    clock: int = 0
-    trace: list[FiringEvent] | None = field(default_factory=list)
+    __slots__ = ("marking", "clock", "trace")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, marking: dict[str, TimedToken], clock: int = 0, trace: list[FiringEvent] | None = _NEW_LIST
+    ) -> None:
+        self.marking, self.clock, self.trace = marking, clock, [] if trace is _NEW_LIST else trace
 
 
 def advance_clock(net: Net, state: EngineState) -> int | None:

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import attrgetter, lt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kernel import EngineError, EngineState
 from .sched import FINISHED
@@ -15,15 +14,13 @@ from .workload import Policy, Process, Workload, _process_columns
 _pi, _it = attrgetter("pi"), attrgetter("it")
 
 
-@dataclass(frozen=True)
-class Aggregates:
+class Aggregates(NamedTuple):
     avg_waiting: float
     avg_turnaround: float
     utilization: float
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     """Everything derivable from one completed schedule.
 
     Idle is measured from the first arrival (``lead_in``), not from time 0;

@@ -53,9 +53,9 @@ so a pending arrival is always queued before the machine picks its next job.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from functools import cache, cmp_to_key
 from operator import attrgetter
+from typing import NamedTuple
 
 from .kernel import EngineState, Net, TimedToken, Transition, run
 from .workload import Policy, PriorityPair, Process, Workload
@@ -183,8 +183,7 @@ def is_idle(ready: list[Process], new: list[Process], run_list: list[Process], n
     return not run_list and not ready and bool(new) and not exists_arrived(new, now)
 
 
-@dataclass(frozen=True)
-class SchedulerNet:
+class SchedulerNet(NamedTuple):
     """A scheduler net bound to one workload and one policy."""
 
     workload: Workload

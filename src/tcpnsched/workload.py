@@ -7,11 +7,12 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import add, itemgetter
 from typing import Any, IO, Iterable, NamedTuple, Sequence
+
+from .kernel import _Record
 
 
 #: Every finish time must stay below this, so that the averages, which are
@@ -98,8 +99,7 @@ def _process_columns(records: Iterable[Process]) -> Process:
     return Process(*map(_Column, zip(*records)))
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(_Record):
     """An ordered collection of processes; list order is preserved end-to-end.
 
     Building one checks every process against the invariants of
@@ -108,16 +108,15 @@ class Workload:
     checked: a value that compares as a valid one, such as ``st=nan``, passes.
     """
 
-    processes: tuple[Process, ...]
-    name: str = ""
+    __slots__ = ("processes", "name")
 
-    def __post_init__(self) -> None:
+    def __init__(self, processes: Iterable[Process], name: str = "") -> None:
         # Stored as a tuple, so that no one can change the processes once checked.
-        procs = tuple(self.processes)
-        object.__setattr__(self, "processes", procs)
+        procs = tuple(processes)
         violations = _violations(procs)
         if violations:
             raise WorkloadError(_report(violations))
+        super().__init__(procs, name)
 
     def __len__(self) -> int:
         return len(self.processes)

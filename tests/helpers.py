@@ -145,6 +145,18 @@ def assert_schedule_invariants(w: Workload, policy: Policy, state: EngineState) 
     return result
 
 
+def unchecked(cls, *values):
+    """A record of the ``__slots__`` class ``cls`` holding ``values``, built around its ``__init__`` and its checks.
+
+    A hand-made pickle could give such a record; copying or unpickling it
+    must check it again.
+    """
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
 def odd_trace() -> list[FiringEvent]:
     """Trace events of shapes the scheduler net never makes, for the trace writer.
 

@@ -4,7 +4,8 @@ Deleting code can leave an import behind that nothing reads any more. A name
 counts as used when the module reads it anywhere, in code or in a string
 annotation such as ``"ScheduleResult"``, or lists it in ``__all__``, as the
 package's ``__init__`` does to re-export names. The CLI's imports also leave
-out ``pathlib``, which a bare interpreter does not load on its own.
+out ``pathlib``, which a bare interpreter does not load on its own, and the
+package defines one dataclass only.
 """
 
 import ast
@@ -103,5 +104,22 @@ def test_the_cli_does_not_import_pathlib():
         f"import sys; sys.path.insert(0, {src!r}); import tcpnsched.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('pathlib')))"
     )
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    # -B too: -I ignores PYTHONDONTWRITEBYTECODE, and the child would write .pyc files into src/.
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_transition_is_the_only_dataclass():
+    # Making a dataclass at import costs about ten times a NamedTuple and a
+    # hundred times a __slots__ class. Transition stays one because
+    # perfbench/layers.py wraps each transition's guard and action with
+    # dataclasses.replace, and perfbench is the benchmark that times this.
+    decorated = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                        decorated.append((path.name, node.name))
+    assert decorated == [("kernel.py", "Transition")]

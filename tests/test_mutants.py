@@ -69,7 +69,9 @@ from test_kernel import (
     steps_makes_initial_pairs_tokens,
 )
 from test_oracle import draws_are_pinned
+from test_records import frozen_records_refuse_assignment
 from test_reference_kernel import kernel_agrees_with_reference
+from test_workload import rebuilt_workloads_are_checked
 
 
 def _results():
@@ -330,17 +332,17 @@ MUTANTS = [
         "{p.turnaround:>7} {p.finish:>11}",
         table_and_gantt_agree_with_document,
     ),
-    ("trace-item-separator", cli, '_layout([0] * n, " " * 8)', '_layout([0] * n, " " * 7)', trace_is_json_dumps),
+    ("trace-item-separator", cli, '_layout([0, 0], " " * 8)', '_layout([0, 0], " " * 7)', trace_is_json_dumps),
     (
         "trace-name-type-dropped",
         cli,
-        "shape = (type(transition), transition,",
-        "shape = (transition,",
+        "_trace_layout((type(transition), transition,",
+        "_trace_layout((str, transition,",
         trace_is_json_dumps,
     ),
-    ("trace-key-type-dropped", cli, ", *map(type, detail))", ")", trace_is_json_dumps),
-    ("trace-name-by-str", cli, "json.dumps(transition, indent=2)", "str(transition)", trace_is_json_dumps),
-    ("trace-empty-list-bracketed", cli, "_layout([0] * n,", "_layout([0] * n or [[]],", trace_is_json_dumps),
+    ("trace-key-type-dropped", cli, ", *map(type, detail)))", ", *[str] * len(detail)))", trace_is_json_dumps),
+    ("trace-name-by-str", cli, "json.dumps(name, indent=2)", "str(name)", trace_is_json_dumps),
+    ("trace-empty-list-bracketed", cli, 'if value else "[]"', "if value else _LIST_HEAD + _LIST_TAIL", trace_is_json_dumps),
     (
         "trace-event-fields-swapped",
         cli,
@@ -571,6 +573,24 @@ MUTANTS = [
         "step_limit: int = DEFAULT_STEP_LIMIT, advance_clock=advance_clock\n)",
         clock_moves_through_the_module_hook,
     ),
+    (
+        "record-field-assignable",
+        kernel,
+        '        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        frozen_records_refuse_assignment,
+    ),
+    (
+        "workload-unpickled-unchecked",
+        workload,
+        "    def __len__(self) -> int:\n",
+        "    def __reduce__(self):\n"
+        "        return object.__new__, (type(self),), self._values()\n\n"
+        "    def __setstate__(self, values):\n"
+        "        _Record.__init__(self, *values)\n\n"
+        "    def __len__(self) -> int:\n",
+        rebuilt_workloads_are_checked,
+    ),
 ]
 
 
@@ -581,7 +601,7 @@ def build_mutant(module: types.ModuleType, fragment: str, replacement: str, monk
     mutant = types.ModuleType(f"{module.__name__}_mutant")
     mutant.__package__ = "tcpnsched"
     mutant.__file__ = module.__file__
-    # dataclasses looks a class's module up in sys.modules.
+    # dataclasses and pickle look a class's module up in sys.modules.
     monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
     exec(compile(source.replace(fragment, replacement), module.__file__, "exec"), mutant.__dict__)
     return mutant

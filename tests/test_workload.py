@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from tcpnsched import (
     serialize_workload,
 )
 
-from helpers import ENTRIES, JSON_VALUES, JsonObject, json_text
+from helpers import ENTRIES, JSON_VALUES, JsonObject, json_text, unchecked
 
 TABLE1_JSON = json.dumps(
     [
@@ -30,6 +31,46 @@ TABLE1_JSON = json.dumps(
         {"pi": 6, "it": 1, "st": 3, "priority": 4},
     ]
 )
+
+#: Processes no workload may hold, and the message of the WorkloadError that building one raises.
+BAD_WORKLOADS = {
+    "service-floor": ((Process(1, 0, 0),), "process 1: service time must be >= 1"),
+    "duplicate": ((Process(2, 0, 1), Process(2, 1, 1)), "duplicate index 2"),
+    "stamped": ((Process(1, 0, 1, es=4),), "process 1: fresh workload must have es = 0"),
+}
+
+
+def rebuilds(workload_cls, procs, name=""):
+    """Each way to build a ``workload_cls`` of ``procs`` anew, by name: its constructor, unpickling and copying.
+
+    The three copies start from a workload built around the constructor,
+    so they hold whatever ``procs`` holds.
+    """
+    forged = unchecked(workload_cls, procs, name)
+    return {
+        "constructor": lambda: workload_cls(procs, name),
+        "unpickled": lambda: pickle.loads(pickle.dumps(forged)),
+        "copied": lambda: copy.copy(forged),
+        "deep-copied": lambda: copy.deepcopy(forged),
+    }
+
+
+def rebuilt_workloads_are_checked(workload_module) -> None:
+    """Each way to build a workload anew raises the WorkloadError of each of ``BAD_WORKLOADS``.
+
+    Any other outcome, another exception included, fails by assertion.
+    """
+    for procs, message in BAD_WORKLOADS.values():
+        for way, build in rebuilds(workload_module.Workload, procs).items():
+            try:
+                build()
+            except workload_module.WorkloadError as e:
+                assert str(e) == message, way
+            except Exception as e:
+                raise AssertionError(f"{way} raised {e!r}") from e
+            else:
+                raise AssertionError(f"{way} built a workload of {procs}")
+
 
 def reference_report(procs):
     """The invariant report of ``procs`` by the rule written process by process; None if valid."""
@@ -200,21 +241,15 @@ class TestValidate:
                 Workload(procs)
             assert str(info.value) == expected
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ((Process(1, 0, 0),), "process 1: service time must be >= 1"),
-            ((Process(2, 0, 1), Process(2, 1, 1)), "duplicate index 2"),
-            ((Process(1, 0, 1, es=4),), "process 1: fresh workload must have es = 0"),
-        ],
-        ids=["service-floor", "duplicate", "stamped"],
-    )
+    @pytest.mark.parametrize("bad, message", BAD_WORKLOADS.values(), ids=list(BAD_WORKLOADS))
     def test_replace_checks_again(self, table1, bad, message):
-        # dataclasses.replace builds a new Workload, so it cannot skip the check.
-        with pytest.raises(WorkloadError) as info:
-            dataclasses.replace(table1, processes=bad)
-        assert str(info.value) == message
-        assert dataclasses.replace(table1, name="renamed").processes == table1.processes
+        # Unpickling or copying a workload calls its constructor, so neither can skip the check.
+        for way, build in rebuilds(Workload, bad).items():
+            with pytest.raises(WorkloadError) as info:
+                build()
+            assert str(info.value) == message, way
+        for way, build in rebuilds(Workload, table1.processes, "renamed").items():
+            assert build() == Workload(table1.processes, "renamed"), way
 
 
 class TestProcessRecord:
