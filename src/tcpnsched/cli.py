@@ -120,7 +120,7 @@ _LIST_HEAD, _LIST_ITEM_JOIN, _LIST_TAIL = _layout([0, 0], " " * 8).split("%s")
 def _trace_layout(shape: tuple) -> tuple[str, str]:
     """The layout of a trace entry, and its name's JSON text, made once for each of the last 64 shapes.
 
-    A ``shape`` is ``(type(name), name, *keys, *map(type, keys))`` of a transition name and detail keys.
+    A ``shape`` is ``(tag, name, *keys, *map(type, keys))``: ``tag`` is ``str`` or a non-str name's JSON text.
     """
     name, *keys = shape[1 : len(shape) // 2 + 1]
     sample = {"t": 0, "transition": 0, "detail": dict.fromkeys(keys, 0)}
@@ -169,8 +169,9 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
                         raise TypeError(f"{where}, not an integer or a list of integers")
                     value = _LIST_HEAD + _LIST_ITEM_JOIN.join(map(str, value)) + _LIST_TAIL if value else "[]"
                 fill.append(value)
-            # Types tell apart names and keys that compare equal but print apart: 0, False and 0.0.
-            layout, fill[1] = _trace_layout((type(transition), transition, *detail, *map(type, detail)))
+            # Types, and a non-str name's JSON text, tell apart what is equal but prints apart: 0, False, 0.0.
+            tag = str if type(transition) is str else json.dumps(transition)
+            layout, fill[1] = _trace_layout((tag, transition, *detail, *map(type, detail)))
             entries.append(layout % tuple(fill))
         values.append(_array(entries))
     return _TOP_LAYOUTS[trace is not None] % tuple(values)

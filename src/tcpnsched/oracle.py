@@ -13,8 +13,8 @@ at the top ratio, not one per ready process.
 
 The schedule it returns is the one the net ends with in Finished: the
 stamped ``Process`` records in completion order. Only the data model
-(Process/Policy/PriorityPair/Workload) and ``workload._processes``, the one
-builder of fresh records, are shared.
+(Process/Policy/PriorityPair/Workload) and ``workload``'s builders of records
+are shared: ``_processes`` of fresh ones, ``_new_process`` and ``_new_pair``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Sequence
 
-from .workload import Policy, PriorityPair, Process, Workload, _processes
+from .workload import Policy, Process, Workload, _new_pair, _new_process, _processes
 
 #: The HRRN ready set: per service time, the arrival groups ``[it, heap of
 #: (pi, process)]`` in arrival order.
@@ -86,10 +87,10 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
     priority pair it was ranked by. ``w`` was checked when it was built, so
     this raises no WorkloadError.
     """
-    hrrn = policy is Policy.HRRN
+    hrrn, negated = policy is Policy.HRRN, policy is Policy.PR
     key = None if hrrn else _rank_key(policy)
     # Sorted by (it, pi): HRRN arrivals only ever append to a deque or group.
-    pending = sorted(w.processes, key=lambda p: (p.it, p.pi))
+    pending = sorted(w.processes, key=attrgetter("it", "pi"))
     # FCFS, SJF and PR: a heap of (rank, process); HRRN: see _Groups.
     ready: list | _Groups = {} if hrrn else []
     finished: list[Process] = []
@@ -110,11 +111,11 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
             i += 1
         if hrrn:
             ratio, best = _hrrn_take(ready, t)
-            pr = PriorityPair(ratio, 0)
+            pr = _new_pair((ratio, 0))
         else:
             (major, minor, _), best = heapq.heappop(ready)
-            pr = PriorityPair(-major if policy is Policy.PR else major, minor)
-        finished.append(Process(best.pi, best.it, best.st, t - best.it, t, pr))
+            pr = _new_pair((-major if negated else major, minor))
+        finished.append(_new_process((best.pi, best.it, best.st, t - best.it, t, pr)))
         t += best.st
     return finished
 

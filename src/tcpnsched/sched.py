@@ -58,7 +58,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .kernel import EngineState, Net, TimedToken, Transition, run
-from .workload import Policy, PriorityPair, Process, Workload
+from .workload import Policy, Process, Workload, _new_pair, _new_process
 
 NEW_TASKS = "NewTasks"
 READY_QUEUE = "ReadyQueue"
@@ -72,6 +72,8 @@ HRRN_SCALE = 100
 
 _service = attrgetter("st")
 _service_arrival = attrgetter("st", "it")
+# Bound once: on Python 3.10 and 3.11 a read such as ``Policy.FCFS`` runs EnumType.__getattr__.
+_FCFS, _SJF, _PR = Policy.FCFS, Policy.SJF, Policy.PR
 
 
 def exists_arrived(l: list[Process], now: int) -> bool:
@@ -95,22 +97,22 @@ def update_priority(policy: Policy, p: Process) -> Process:
     arrival as tie-break minor. HRRN: response ratio (service + waiting) /
     service, fixed-point scaled by HRRN_SCALE with integer division.
     """
-    if policy is Policy.FCFS:
-        pr = PriorityPair(p.it, 0)
-    elif policy is Policy.SJF:
-        pr = PriorityPair(p.st, p.it)
-    elif policy is Policy.PR:
-        pr = PriorityPair(p.pr.major, p.it)
+    if policy is _FCFS:
+        pr = _new_pair((p.it, 0))
+    elif policy is _SJF:
+        pr = _new_pair((p.st, p.it))
+    elif policy is _PR:
+        pr = _new_pair((p.pr.major, p.it))
     else:
-        pr = PriorityPair(hrrn_ratio(p.st, p.wt), 0)
-    return Process(p.pi, p.it, p.st, p.wt, p.es, pr)
+        pr = _new_pair((hrrn_ratio(p.st, p.wt), 0))
+    return _new_process((p.pi, p.it, p.st, p.wt, p.es, pr))
 
 
 def update_proc_wait(p: Process, now: int) -> Process:
     """Set the waiting time of ``p`` to ``now`` minus its arrival time."""
     if now < p.it:
         raise ValueError(f"process {p.pi}: waiting time would be negative at t={now}")
-    return Process(p.pi, p.it, p.st, now - p.it, p.es, p.pr)
+    return _new_process((p.pi, p.it, p.st, now - p.it, p.es, p.pr))
 
 
 def update_all(l: list[Process], policy: Policy, now: int) -> list[Process]:
@@ -125,7 +127,7 @@ def cmp_scalar(a: int, b: int, policy: Policy) -> int:
     treat the greater value as higher priority. Returns 1 if ``a`` wins,
     0 on a tie, -1 otherwise.
     """
-    if policy is Policy.FCFS or policy is Policy.SJF:
+    if policy is _FCFS or policy is _SJF:
         if a < b:
             return 1
         return 0 if a == b else -1
@@ -171,7 +173,7 @@ def elect(l: list[Process], policy: Policy) -> int:
 
 def set_execution_start(p: Process, now: int) -> Process:
     """Stamp ``now`` as the execution start time of ``p``."""
-    return Process(p.pi, p.it, p.st, p.wt, now, p.pr)
+    return _new_process((p.pi, p.it, p.st, p.wt, now, p.pr))
 
 
 def is_idle(ready: list[Process], new: list[Process], run_list: list[Process], now: int) -> bool:
@@ -191,7 +193,7 @@ class SchedulerNet(NamedTuple):
 
     def initial_state(self) -> EngineState:
         """Fresh initial marking: all processes in NewTasks, next arrival last; clock 0."""
-        arrivals = sorted(self.workload.processes, key=lambda p: (p.it, p.pi), reverse=True)
+        arrivals = sorted(self.workload.processes, key=attrgetter("it", "pi"), reverse=True)
         marking = {
             NEW_TASKS: TimedToken(arrivals, 0),
             READY_QUEUE: TimedToken([], 0),

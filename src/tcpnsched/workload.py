@@ -10,6 +10,7 @@ import sys
 from enum import Enum
 from itertools import repeat
 from operator import add, itemgetter
+from types import MethodType
 from typing import Any, IO, Iterable, NamedTuple, Sequence
 
 from .kernel import _Record
@@ -81,6 +82,12 @@ class Process(NamedTuple):
     def turnaround(self) -> int:
         """Time from arrival to completion: waiting time plus service time."""
         return self.wt + self.st
+
+
+#: A record from a tuple of its values in field order: ``tuple.__new__`` bound to the class runs in C,
+#: where calling the class runs namedtuple's Python ``__new__``. It does not check the number of values.
+_new_pair = MethodType(tuple.__new__, PriorityPair)
+_new_process = MethodType(tuple.__new__, Process)
 
 
 class _Column(tuple):
@@ -228,8 +235,8 @@ def _processes(
     pi: Sequence[int], it: Sequence[int], st: Sequence[int], priority: Sequence[int]
 ) -> tuple[Process, ...]:
     """Fresh processes from the columns of their input records; wt/es are never input, so both start at 0."""
-    pairs = {major: PriorityPair(major, 0) for major in set(priority)}
-    return tuple(map(Process._make, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
+    pairs = {major: _new_pair((major, 0)) for major in set(priority)}
+    return tuple(map(_new_process, zip(pi, it, st, repeat(0), repeat(0), map(pairs.__getitem__, priority))))
 
 
 def _parse_json(text: str) -> tuple[Process, ...]:

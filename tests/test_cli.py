@@ -297,6 +297,21 @@ def table_and_gantt_agree_with_document(cli_module) -> None:
                 assert (int(start), int(finish)) == (entry["es"], entry["finish"]), (policy, pi)
 
 
+def tuple_names_print_as_json_dumps(cli_module) -> None:
+    """Trace names ``(0,)`` and ``(False,)``, equal but printed apart, are written as ``json.dumps`` writes them.
+
+    Both in one trace, in either order, and in two calls one after the
+    other, since the trace layouts are kept from call to call.
+    """
+    table1 = builtin_paper_workload()
+    result = compute_metrics(simulate(table1, Policy.SJF, trace=False), table1, Policy.SJF)
+    zero, false = FiringEvent((0,), 1, {}), FiringEvent((False,), 2, {})
+    for trace in ([zero, false], [false, zero], [zero], [false]):
+        doc = cli_module.result_json_doc(result)
+        doc["trace"] = trace_records(trace)
+        assert cli_module.result_json_text(result, trace) == json.dumps(doc, indent=2), trace
+
+
 class TestRun:
     def test_hrrn_json_golden(self, capsys):
         code, out, _ = invoke(capsys, "run", "--policy", "hrrn", "--workload", "paper-table1", "--format", "json")
@@ -510,6 +525,9 @@ class TestJsonWriter:
         doc = cli.result_json_doc(result)
         doc["trace"] = trace_records(trace)
         assert cli.result_json_text(result, trace) == json.dumps(doc, indent=2)
+
+    def test_trace_writer_tells_apart_names_whose_items_print_apart(self):
+        tuple_names_print_as_json_dumps(cli)
 
     @pytest.mark.parametrize(
         "event, key",

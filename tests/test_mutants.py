@@ -60,6 +60,7 @@ from test_cli import (
     oracle_trace_is_a_usage_error,
     step_limit_flag_is_a_usage_error,
     table_and_gantt_agree_with_document,
+    tuple_names_print_as_json_dumps,
 )
 from test_kernel import (
     initial_pairs_become_tokens,
@@ -336,9 +337,16 @@ MUTANTS = [
     (
         "trace-name-type-dropped",
         cli,
-        "_trace_layout((type(transition), transition,",
-        "_trace_layout((str, transition,",
+        "tag = str if type(transition) is str else json.dumps(transition)",
+        "tag = str",
         trace_is_json_dumps,
+    ),
+    (
+        "trace-name-items-untyped",
+        cli,
+        "tag = str if type(transition) is str else json.dumps(transition)",
+        "tag = type(transition)",
+        tuple_names_print_as_json_dumps,
     ),
     ("trace-key-type-dropped", cli, ", *map(type, detail)))", ", *[str] * len(detail)))", trace_is_json_dumps),
     ("trace-name-by-str", cli, "json.dumps(name, indent=2)", "str(name)", trace_is_json_dumps),
@@ -566,6 +574,20 @@ MUTANTS = [
         engine_agrees_with_oracle,
     ),
     ("hrrn-insort-left", sched, "bisect.insort(ready,", "bisect.insort_left(ready,", engine_agrees_with_oracle),
+    (
+        "policy-names-swapped",
+        sched,
+        "_FCFS, _SJF, _PR = Policy.FCFS, Policy.SJF, Policy.PR",
+        "_FCFS, _SJF, _PR = Policy.SJF, Policy.FCFS, Policy.PR",
+        engine_agrees_with_oracle,
+    ),
+    (
+        "wait-and-start-swapped",
+        sched,
+        "_new_process((p.pi, p.it, p.st, now - p.it, p.es, p.pr))",
+        "_new_process((p.pi, p.it, p.st, p.es, now - p.it, p.pr))",
+        engine_agrees_with_oracle,
+    ),
     (
         "advance-clock-bound-at-definition",
         kernel,
