@@ -179,6 +179,14 @@ def _writer(t: Transition | None) -> str:
     return "initial marking gives" if t is None else f"transition {t.name!r} wrote"
 
 
+def _in_order(names) -> list:
+    """Place names sorted, by ``repr`` when some do not compare, as ``0`` and ``"b"`` do not."""
+    try:
+        return sorted(names)
+    except TypeError:
+        return sorted(names, key=repr)
+
+
 def steps(
     net: Net, state: EngineState, step_limit: int = DEFAULT_STEP_LIMIT
 ) -> Iterator[Transition | None]:
@@ -292,10 +300,16 @@ def steps(
             raise
         except Exception as e:
             raise EngineError(f"action of transition {t.name!r} failed at t={clock}: {e}") from e
-        if outputs.keys() != consumed:
+        try:
+            rewritten = outputs.keys() == consumed
+        except AttributeError:
+            raise EngineError(
+                f"transition {t.name!r} wrote outputs {outputs!r:.40}, not a mapping of places to pairs"
+            ) from None
+        if not rewritten:
             raise EngineError(
                 f"transition {t.name!r} must rewrite exactly its consumed places "
-                f"{sorted(t.consumed)}, wrote {sorted(outputs)}"
+                f"{_in_order(t.consumed)}, wrote {_in_order(outputs)}"
             )
 
 

@@ -28,17 +28,22 @@ Dispatch elects the process that the paper's full refresh would elect,
 ready list. FCFS, SJF and PR priorities do not depend on the clock, so
 Activate stamps each process once with ``update_priority`` and inserts it
 into ReadyQueue, which those policies keep ordered by ``compare_process``
-with the best process last; Dispatch takes the last one. HRRN's response
-ratio grows with waiting time, so Activate inserts its processes unstamped
-into a ReadyQueue sorted by ``(st, it, pi)``. Among processes with the same
-``st`` the ratio ``(st + now - it) * 100 // st`` never rises as ``it`` grows,
-and with equal ``(st, it)`` the ratios tie and ``compare_process`` picks the
-lower ``pi``. So only the first record of a ``(st, it)`` group can win.
-Dispatch walks ReadyQueue once, group by group, keeping a running top ratio
-and the groups that reach it; a group below the top ends its run, since no
-later group of that ``st`` can reach the top, and the walk jumps to the next
-``st``. ``update_all`` and ``elect`` then decide among the groups at the top.
-A dispatch computes at most one ratio per distinct service time plus one per
+with the best process last; Dispatch takes the last one. Activate inserts
+by binary search, except that once an arrival of the firing lands first, the
+next is compared once with the first record and goes in front if it sorts
+strictly before it. Arrivals leave NewTasks in (it, pi) order, so under FCFS
+each sorts before every queued record and costs one comparison. HRRN's
+response ratio grows with waiting time, so Activate inserts its processes
+unstamped into a ReadyQueue sorted by ``(st, it, pi)``, by the same rule
+with ``st`` as the key. Among processes with the same ``st`` the ratio
+``(st + now - it) * 100 // st`` never rises as ``it`` grows, and with equal
+``(st, it)`` the ratios tie and ``compare_process`` picks the lower ``pi``.
+So only the first record of a ``(st, it)`` group can win. Dispatch walks
+ReadyQueue once, group by group, keeping a running top ratio and the groups
+that reach it; a group below the top ends its run, since no later group of
+that ``st`` can reach the top, and the walk jumps to the next ``st``.
+``update_all`` and ``elect`` then decide among the groups at the top. A
+dispatch computes at most one ratio per distinct service time plus one per
 group that ties or beats the running top, rather than one per ready process.
 Only the dispatched process carries a refreshed waiting time and priority;
 the records left in ReadyQueue keep the ones they had. Dispatch stamps the
@@ -229,10 +234,20 @@ def _policy_net(policy: Policy) -> Net:
     def activate_action(v, clock):
         new, ready = v[NEW_TASKS], v[READY_QUEUE]
         activated = []
+        # A finger at the front: once an arrival of this firing lands first,
+        # the next one is compared with the first record alone, and goes in
+        # front if it sorts strictly before it, as insort would put it. Under
+        # FCFS each arrival sorts before every queued record, so one
+        # comparison places it; any other arrival takes the binary search.
+        front = False
         while exists_arrived(new, clock):
-            p = new.pop()
+            p = new.pop() if hrrn else update_priority(policy, new.pop())
             activated.append(p.pi)
-            bisect.insort(ready, p if hrrn else update_priority(policy, p), key=order)
+            if front and order(p) < order(ready[0]):
+                ready.insert(0, p)
+            else:
+                bisect.insort(ready, p, key=order)
+                front = ready[0] is p
         outputs = {NEW_TASKS: (new, clock), READY_QUEUE: (ready, clock)}
         return outputs, {"activated": activated}
 

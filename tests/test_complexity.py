@@ -90,6 +90,7 @@ def growth(shape, path, policy: Policy, sizes=SIZES) -> list[float]:
 
 GATED = [
     (fcfs_chain, Policy.FCFS),
+    (burst, Policy.FCFS),
     (burst, Policy.SJF),
     (burst, Policy.HRRN),
     (overload, Policy.HRRN),

@@ -88,6 +88,45 @@ def outputs_that_are_not_pairs_are_model_errors(kernel_module) -> None:
         assert str(error) == f"transition 'bad' wrote place 'cell' {output!r}, not a (value, ready_time) pair"
 
 
+#: Outputs that are not a mapping of exactly the consumed place ``cell``, each with
+#: the message it must give: two sequences, no value at all, keys that do not
+#: compare with each other, and string keys.
+MALFORMED_OUTPUTS = [
+    ([("cell", (1, 1))], "transition 'bad' wrote outputs [('cell', (1, 1))], not a mapping of places to pairs"),
+    (["cell"], "transition 'bad' wrote outputs ['cell'], not a mapping of places to pairs"),
+    (None, "transition 'bad' wrote outputs None, not a mapping of places to pairs"),
+    (
+        {0: (1, 1), "b": (1, 1)},
+        "transition 'bad' must rewrite exactly its consumed places ['cell'], wrote ['b', 0]",
+    ),
+    (
+        {"cell": (1, 1), "b": (1, 1)},
+        "transition 'bad' must rewrite exactly its consumed places ['cell'], wrote ['b', 'cell']",
+    ),
+]
+
+
+def malformed_outputs_are_model_errors(kernel_module) -> None:
+    """Each of ``MALFORMED_OUTPUTS`` written by an action is an EngineError naming the transition.
+
+    So is a transition whose consumed places do not compare with each other:
+    its message lists them by ``repr``.
+    """
+    k = kernel_module
+    for output, message in MALFORMED_OUTPUTS:
+        t = k.Transition(
+            name="bad", rank=0, consumed=("cell",), guard=lambda v, c: True, action=lambda v, c, o=output: (o, {})
+        )
+        error = _raised(lambda: k.run(k.Net("bad", ("cell",), (t,)), k.EngineState(marking={"cell": (0, 0)})))
+        assert type(error) is k.EngineError, output
+        assert str(error) == message
+    t = k.Transition(name="bad", rank=0, consumed=("cell", 0), guard=lambda v, c: True, action=lambda v, c: ({}, {}))
+    net, initial = k.Net("bad", ("cell", 0), (t,)), k.EngineState(marking={"cell": (0, 0), 0: (0, 0)})
+    error = _raised(lambda: k.run(net, initial))
+    assert type(error) is k.EngineError
+    assert str(error) == "transition 'bad' must rewrite exactly its consumed places ['cell', 0], wrote []"
+
+
 def _raised(call):
     """The exception ``call()`` raises, or None."""
     try:
@@ -371,6 +410,9 @@ class TestFiring:
 
     def test_output_that_is_not_a_pair_is_a_model_error(self):
         outputs_that_are_not_pairs_are_model_errors(kernel)
+
+    def test_outputs_that_are_not_a_mapping_of_the_consumed_places_are_model_errors(self):
+        malformed_outputs_are_model_errors(kernel)
 
     def test_net_rejects_undeclared_place(self):
         t = Transition(

@@ -19,6 +19,9 @@ parser now only prints help or a usage error, so nothing it fills reaches a
 command. The row ``namespace-kept-per-parser`` keeps one in every parser, the
 subcommands' too, and that one leaks. ``insort_left`` in Activate is a row,
 ``hrrn-insort-left``: HRRN inserts by service time alone, so records tie.
+Activate's front probe with ``<=`` is one too, for the same ties. Without
+the probe every schedule is the same, so ``front-probe-dropped`` dies by the
+comparison count alone.
 """
 
 import contextlib
@@ -72,6 +75,7 @@ from test_kernel import (
 from test_oracle import draws_are_pinned
 from test_records import frozen_records_refuse_assignment
 from test_reference_kernel import kernel_agrees_with_reference
+from test_sched import fcfs_burst_compares_once_per_arrival
 from test_workload import rebuilt_workloads_are_checked
 
 
@@ -574,6 +578,20 @@ MUTANTS = [
         engine_agrees_with_oracle,
     ),
     ("hrrn-insort-left", sched, "bisect.insort(ready,", "bisect.insort_left(ready,", engine_agrees_with_oracle),
+    (
+        "front-probe-not-strict",
+        sched,
+        "if front and order(p) < order(ready[0]):",
+        "if front and order(p) <= order(ready[0]):",
+        engine_agrees_with_oracle,
+    ),
+    (
+        "front-probe-dropped",
+        sched,
+        "if front and order(p) < order(ready[0]):",
+        "if False and front and order(p) < order(ready[0]):",
+        fcfs_burst_compares_once_per_arrival,
+    ),
     (
         "policy-names-swapped",
         sched,

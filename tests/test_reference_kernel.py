@@ -5,7 +5,8 @@ time. After every step they must have yielded the same transition, or both
 None, or both halted, or both raised the same exception with the same
 message, and they must hold the same clock and marking; at the end, the same
 trace. The nets are small random ones with ints for tokens, drawn by
-``random_net``, and the scheduler net on paper-table1 and random workloads.
+``random_net``, a counter that writes each of ``test_kernel``'s malformed
+outputs, and the scheduler net on paper-table1 and random workloads.
 
 The Hypothesis test sets no settings of its own, so the profile that
 ``conftest.py`` loads applies: a fixed draw in tier-1, and under
@@ -33,6 +34,7 @@ from tcpnsched import (
     builtin_paper_workload,
     kernel,
 )
+from test_kernel import MALFORMED_OUTPUTS
 
 #: Ways a random transition breaks the kernel's contract, each at some firings only.
 FAULTS = (
@@ -161,9 +163,22 @@ def scheduler_cases():
             yield sn.net, sn.initial_state, 4 * len(w)
 
 
+def malformed_output_cases():
+    """A counter that fires once, then writes one of ``MALFORMED_OUTPUTS``."""
+    for output, _ in MALFORMED_OUTPUTS:
+
+        def action(v, clock, output=output):
+            return ({"cell": (1, clock + 1)} if v["cell"] == 0 else output), {"cell": v["cell"]}
+
+        t = Transition(name="bad", rank=0, consumed=("cell",), guard=lambda v, c: True, action=action)
+        yield Net("malformed", ("cell",), (t,)), lambda: EngineState(marking={"cell": TimedToken(0, 0)}), 5
+
+
 def kernel_agrees_with_reference(kernel_module) -> None:
-    """The agreement on the scheduler net and on 300 seeded random nets, for the mutant table."""
+    """The agreement on the scheduler net, on malformed outputs and on 300 seeded random nets, for the mutant table."""
     for case in scheduler_cases():
+        assert_agrees_with_reference(kernel_module, *case)
+    for case in malformed_output_cases():
         assert_agrees_with_reference(kernel_module, *case)
     for seed in range(300):
         assert_agrees_with_reference(kernel_module, *random_net(random.Random(seed)))

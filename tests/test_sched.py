@@ -11,6 +11,7 @@ from tcpnsched import (
     WorkloadError,
     build_net,
     compute_metrics,
+    sched,
     simulate,
     steps,
 )
@@ -33,6 +34,29 @@ from tcpnsched.sched import (
 
 def proc(pi, it=0, st=1, wt=0, es=0, pr=(0, 0)):
     return Process(pi=pi, it=it, st=st, wt=wt, es=es, pr=PriorityPair(*pr))
+
+
+def fcfs_burst_compares_once_per_arrival(sched_module) -> None:
+    """An FCFS burst of n processes at t=0 makes exactly n - 1 ``compare_process`` calls.
+
+    Activate pops the burst in (it, pi) order, so each arrival sorts before
+    every queued record and one comparison with the first places it; Dispatch
+    takes the last record and compares nothing.
+    """
+    real, calls = sched_module.compare_process, []
+
+    def counting(p1, p2, policy):
+        calls.append(policy)
+        return real(p1, p2, policy)
+
+    sched_module.compare_process = counting
+    try:
+        for n in (1, 2, 3, 10, 200):
+            calls.clear()
+            sched_module.simulate(Workload(tuple(proc(pi, st=pi % 7 + 1) for pi in range(1, n + 1))), Policy.FCFS)
+            assert len(calls) == n - 1, n
+    finally:
+        sched_module.compare_process = real
 
 
 def dispatch(table1, policy, ready_pis, clock):
@@ -223,6 +247,9 @@ class TestFullRuns:
         res = compute_metrics(simulate(table1, Policy.PR), table1, Policy.PR)
         assert [p.pi for p in res.finished] == [6, 4, 1, 3, 2, 5]
         assert [p.es for p in res.finished] == [1, 5, 7, 11, 13, 16]
+
+    def test_fcfs_burst_compares_once_per_arrival(self):
+        fcfs_burst_compares_once_per_arrival(sched)
 
     def test_hrrn_ready_queue_stays_sorted_under_ties(self):
         # Many arrivals per instant, three service times and indexes shuffled
