@@ -179,14 +179,6 @@ def _writer(t: Transition | None) -> str:
     return "initial marking gives" if t is None else f"transition {t.name!r} wrote"
 
 
-def _in_order(names) -> list:
-    """Place names sorted, by ``repr`` when some do not compare, as ``0`` and ``"b"`` do not."""
-    try:
-        return sorted(names)
-    except TypeError:
-        return sorted(names, key=repr)
-
-
 def steps(
     net: Net, state: EngineState, step_limit: int = DEFAULT_STEP_LIMIT
 ) -> Iterator[Transition | None]:
@@ -202,10 +194,9 @@ def steps(
     from outside after that are not seen. From then on the kernel keeps each
     place's ready-time and each input mapping current as it writes places,
     so a step rebuilds nothing. ``state.marking`` and ``state.clock`` are
-    current after every step. Transitions with the same input places share
-    one mapping. A guard or action gets it as a read-only view that is valid
-    during the call only: it holds exactly the transition's input places, in
-    no set order.
+    current after every step. Each transition has its own mapping. A guard
+    or action gets it as a read-only view that is valid during the call
+    only: it holds exactly the transition's input places, in no set order.
 
     A guard or action that raises an exception other than EngineError is
     reported as an EngineError naming the transition and the clock (writing
@@ -219,22 +210,18 @@ def steps(
         raise EngineError(f"initial marking does not cover place {missing[0]!r}")
 
     marking, clock, trace = state.marking, state.clock, state.trace
-    # One mapping per distinct input set, empty until the first write fills
-    # it; readers[name] lists the mappings that hold place ``name``, each of
+    # One mapping per transition, empty until the first write fills it;
+    # readers[name] lists the mappings that hold place ``name``, each of
     # which a write to it updates.
     ready_at = {}
-    mappings = {}
     readers = {name: [] for name in marking}
     arcs = []
     for t in net.transitions:
         inputs = t.consumed + t.reads
-        key = frozenset(inputs)
-        if key not in mappings:
-            values = {}
-            mappings[key] = MappingProxyType(values)
-            for name in key:
-                readers[name].append(values)
-        arcs.append((t, t.guard, inputs, mappings[key], set(t.consumed)))
+        values = {}
+        for name in inputs:
+            readers[name].append(values)
+        arcs.append((t, t.guard, inputs, MappingProxyType(values), set(t.consumed)))
 
     # The first write is the initial marking, by no transition.
     t, outputs, firings = None, marking, 0
@@ -309,7 +296,7 @@ def steps(
         if not rewritten:
             raise EngineError(
                 f"transition {t.name!r} must rewrite exactly its consumed places "
-                f"{_in_order(t.consumed)}, wrote {_in_order(outputs)}"
+                f"{sorted(t.consumed, key=repr)}, wrote {sorted(outputs, key=repr)}"
             )
 
 

@@ -7,7 +7,8 @@ FCFS, SJF and PR a process's rank does not depend on the clock, so each
 process is ranked once, on arrival, and the ready set is a binary heap of
 ``(rank, process)`` entries. Under HRRN the rank grows with the wait, so the
 ready set is kept per service time as a queue of arrival groups, earliest
-first. With ``st`` fixed the response ratio never rises as ``it`` grows, so
+first, each a queue of the processes that arrived at one instant, in ``pi``
+order. With ``st`` fixed the response ratio never rises as ``it`` grows, so
 a dispatch computes one ratio per distinct ``st`` plus one per group tied
 at the top ratio, not one per ready process.
 
@@ -27,9 +28,9 @@ from typing import Callable, Sequence
 
 from .workload import Policy, Process, Workload, _new_pair, _new_process, _processes
 
-#: The HRRN ready set: per service time, the arrival groups ``[it, heap of
-#: (pi, process)]`` in arrival order.
-_Groups = dict[int, deque[list]]
+#: The HRRN ready set: per service time, the arrival groups in arrival order,
+#: each a queue of the processes of one ``(st, it)`` in ``pi`` order.
+_Groups = dict[int, deque[deque[Process]]]
 
 
 def _rank_key(policy: Policy) -> Callable[[Process], tuple[int, int, int]]:
@@ -53,24 +54,25 @@ def _hrrn_take(ready: _Groups, now: int) -> tuple[int, Process]:
     Returns the ratio and the process; among equal ratios the lowest ``pi``
     wins. Within one deque ``it`` grows, so the ratio ``(st + now - it) *
     100 // st`` never rises: the head group holds the deque's best ratio,
-    and the groups at the top ratio are a prefix of the deque.
+    and the groups at the top ratio are a prefix of the deque. Each group
+    is in ``pi`` order, so its head is its lowest ``pi``.
     """
-    ratios = [(st + now - groups[0][0]) * 100 // st for st, groups in ready.items()]
+    ratios = [(st + now - groups[0][0].it) * 100 // st for st, groups in ready.items()]
     top = max(ratios)
     pick = None
     for st, ratio in zip(ready, ratios):
         if ratio != top:
             continue
         # The head group is at the top; walk the later groups while they tie it.
-        for k, (it, heap) in enumerate(ready[st]):
-            if k and (st + now - it) * 100 // st != top:
+        for k, group in enumerate(ready[st]):
+            if k and (st + now - group[0].it) * 100 // st != top:
                 break
-            if pick is None or heap[0][0] < pick[0]:
-                pick = (heap[0][0], st, k)
+            if pick is None or group[0].pi < pick[0]:
+                pick = (group[0].pi, st, k)
     _, st, k = pick
     groups = ready[st]
-    _, best = heapq.heappop(groups[k][1])
-    if not groups[k][1]:
+    best = groups[k].popleft()
+    if not groups[k]:
         del groups[k]
         if not groups:
             del ready[st]
@@ -89,7 +91,8 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
     """
     hrrn, negated = policy is Policy.HRRN, policy is Policy.PR
     key = None if hrrn else _rank_key(policy)
-    # Sorted by (it, pi): HRRN arrivals only ever append to a deque or group.
+    # Sorted by (it, pi): HRRN arrivals only ever append to a deque or group,
+    # so each group is in pi order.
     pending = sorted(w.processes, key=attrgetter("it", "pi"))
     # FCFS, SJF and PR: a heap of (rank, process); HRRN: see _Groups.
     ready: list | _Groups = {} if hrrn else []
@@ -103,9 +106,9 @@ def oracle_schedule(w: Workload, policy: Policy) -> list[Process]:
             p = pending[i]
             if hrrn:
                 groups = ready.setdefault(p.st, deque())
-                if not groups or groups[-1][0] != p.it:
-                    groups.append([p.it, []])
-                heapq.heappush(groups[-1][1], (p.pi, p))
+                if not groups or groups[-1][0].it != p.it:
+                    groups.append(deque())
+                groups[-1].append(p)
             else:
                 heapq.heappush(ready, (key(p), p))
             i += 1

@@ -189,6 +189,7 @@ def builtin_paper_workload() -> Workload:
 
 _JSON_FIELDS = ("pi", "it", "st", "priority")
 _REQUIRED_FIELDS = ("pi", "it", "st")
+_SHOWN_CHARS = 40
 #: A CSV integer cell: ASCII digits with an optional sign, leading zeros
 #: allowed (``+1`` and ``007`` pass, though JSON rejects both); no ``1_0``
 #: and no digits of other scripts, which ``int()`` would take.
@@ -199,9 +200,9 @@ class _Number(str):
     """A JSON number with a fraction or exponent, kept as written: 1e400 stays 1e400."""
 
 
-def _shown(text: str, limit: int = 40) -> str:
-    """``text`` as a message quotes it: at most ``limit`` characters, then its full length."""
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+def _shown(text: str) -> str:
+    """``text`` as a message quotes it: at most ``_SHOWN_CHARS`` characters, then its full length."""
+    return text if len(text) <= _SHOWN_CHARS else f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def _not_an_integer(value: Any, field: str, where: str) -> WorkloadError:

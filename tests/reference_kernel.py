@@ -57,21 +57,13 @@ def _enabled(net: Net, state: EngineState):
     return None, None
 
 
-def _sorted_names(names) -> list:
-    """``names`` sorted; when two of them do not compare, sorted by their ``repr`` instead."""
-    try:
-        return sorted(names)
-    except TypeError:
-        return sorted(names, key=repr)
-
-
 def _write(t, outputs, clock: int, state: EngineState) -> None:
     if not hasattr(outputs, "keys"):
         raise EngineError(f"transition {t.name!r} wrote outputs {outputs!r:.40}, not a mapping of places to pairs")
     if set(outputs.keys()) != set(t.consumed):
         raise EngineError(
             f"transition {t.name!r} must rewrite exactly its consumed places "
-            f"{_sorted_names(t.consumed)}, wrote {_sorted_names(outputs.keys())}"
+            f"{sorted(t.consumed, key=repr)}, wrote {sorted(outputs.keys(), key=repr)}"
         )
     for name, pair in outputs.items():
         try:

@@ -106,12 +106,24 @@ MALFORMED_OUTPUTS = [
 ]
 
 
-def malformed_outputs_are_model_errors(kernel_module) -> None:
-    """Each of ``MALFORMED_OUTPUTS`` written by an action is an EngineError naming the transition.
+#: Consumed places of a transition that writes no outputs, each with the
+#: message it must give. The message lists place names in ``repr`` order,
+#: both names that do not compare with each other and names that do.
+UNWRITTEN_CONSUMED = [
+    (("cell", 0), "transition 'bad' must rewrite exactly its consumed places ['cell', 0], wrote []"),
+    ((10, 9), "transition 'bad' must rewrite exactly its consumed places [10, 9], wrote []"),
+]
 
-    So is a transition whose consumed places do not compare with each other:
-    its message lists them by ``repr``.
-    """
+
+def unwritten_consumed_net(kernel_module, consumed: tuple):
+    """A net whose one transition consumes ``consumed`` and writes no outputs."""
+    k = kernel_module
+    t = k.Transition(name="bad", rank=0, consumed=consumed, guard=lambda v, c: True, action=lambda v, c: ({}, {}))
+    return k.Net("bad", consumed, (t,))
+
+
+def malformed_outputs_are_model_errors(kernel_module) -> None:
+    """Each of ``MALFORMED_OUTPUTS`` and ``UNWRITTEN_CONSUMED`` is an EngineError naming the transition."""
     k = kernel_module
     for output, message in MALFORMED_OUTPUTS:
         t = k.Transition(
@@ -120,11 +132,11 @@ def malformed_outputs_are_model_errors(kernel_module) -> None:
         error = _raised(lambda: k.run(k.Net("bad", ("cell",), (t,)), k.EngineState(marking={"cell": (0, 0)})))
         assert type(error) is k.EngineError, output
         assert str(error) == message
-    t = k.Transition(name="bad", rank=0, consumed=("cell", 0), guard=lambda v, c: True, action=lambda v, c: ({}, {}))
-    net, initial = k.Net("bad", ("cell", 0), (t,)), k.EngineState(marking={"cell": (0, 0), 0: (0, 0)})
-    error = _raised(lambda: k.run(net, initial))
-    assert type(error) is k.EngineError
-    assert str(error) == "transition 'bad' must rewrite exactly its consumed places ['cell', 0], wrote []"
+    for consumed, message in UNWRITTEN_CONSUMED:
+        initial = k.EngineState(marking=dict.fromkeys(consumed, (0, 0)))
+        error = _raised(lambda: k.run(unwritten_consumed_net(k, consumed), initial))
+        assert type(error) is k.EngineError, consumed
+        assert str(error) == message
 
 
 def _raised(call):

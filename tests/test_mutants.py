@@ -4,10 +4,11 @@ Each row names a module of the package, an exact fragment of its source, the
 replacement that makes the mutant, and a check that takes a module. The
 harness builds the mutant from the patched source as a fresh module, in
 process, with ``__package__ = "tcpnsched"``: its relative imports reach the
-real package, and the real package stays untouched. It asserts that the
-fragment occurs exactly once, so a refactor that moves the code breaks the
-row rather than making it vacuous, that the check passes on the real module,
-and that it fails on the mutant.
+real package, and the real package stays untouched. The mutant keeps the
+patched text as ``__source__``, for checks that parse the module. The
+harness asserts that the fragment occurs exactly once, so a refactor that
+moves the code breaks the row rather than making it vacuous, that the check
+passes on the real module, and that it fails on the mutant.
 
 Known equivalent mutants are not rows. One is ``_parse`` handing every
 ``argv`` to the top-level parser, the parse it replaces: every outcome is
@@ -72,7 +73,7 @@ from test_kernel import (
     ready_times_that_do_not_compare_are_model_errors,
     steps_makes_initial_pairs_tokens,
 )
-from test_oracle import draws_are_pinned
+from test_oracle import draws_are_pinned, imports_only_the_data_model_at_run_time, names_no_engine_selection_code
 from test_records import frozen_records_refuse_assignment
 from test_reference_kernel import kernel_agrees_with_reference
 from test_sched import fcfs_burst_compares_once_per_arrival
@@ -451,11 +452,26 @@ MUTANTS = [
     (
         "hrrn-first-top-deque-only",
         oracle,
-        "                pick = (heap[0][0], st, k)\n",
-        "                pick = (heap[0][0], st, k)\n        break\n",
+        "                pick = (group[0].pi, st, k)\n",
+        "                pick = (group[0].pi, st, k)\n        break\n",
         oracle_agrees_on_ties,
     ),
     ("heap-pop-first", oracle, "heapq.heappop(ready)", "ready.pop(0)", oracle_agrees_on_ties),
+    ("hrrn-group-popped-from-the-back", oracle, "groups[k].popleft()", "groups[k].pop()", oracle_agrees_on_ties),
+    (
+        "oracle-imports-the-engine",
+        oracle,
+        "from .workload import Policy,",
+        "from . import sched as _s\nfrom .workload import Policy,",
+        imports_only_the_data_model_at_run_time,
+    ),
+    (
+        "oracle-binds-an-engine-name",
+        oracle,
+        "_Groups = dict[",
+        "elect = None\n_Groups = dict[",
+        names_no_engine_selection_code,
+    ),
     (
         "draws-it-st-swapped",
         oracle,
@@ -466,8 +482,8 @@ MUTANTS = [
     (
         "hrrn-ranks-taken-at-arrival",
         oracle,
-        "(st + now - groups[0][0]) * 100 // st",
-        "(st + groups[0][0] - groups[0][0]) * 100 // st",
+        "(st + now - groups[0][0].it) * 100 // st",
+        "(st + groups[0][0].it - groups[0][0].it) * 100 // st",
         oracle_agrees_on_ties,
     ),
     (
@@ -553,6 +569,13 @@ MUTANTS = [
         kernel,
         "for mapping in readers[name]:",
         "for mapping in readers[name][:1]:",
+        kernel_agrees_with_reference,
+    ),
+    (
+        "mapping-for-consumed-only",
+        kernel,
+        "        for name in inputs:\n            readers[name].append(values)\n",
+        "        for name in t.consumed:\n            readers[name].append(values)\n",
         kernel_agrees_with_reference,
     ),
     ("ready-at-not-updated", kernel, "            ready_at[name] = ready_time\n", "", kernel_agrees_with_reference),
@@ -643,7 +666,9 @@ def build_mutant(module: types.ModuleType, fragment: str, replacement: str, monk
     mutant.__file__ = module.__file__
     # dataclasses and pickle look a class's module up in sys.modules.
     monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
-    exec(compile(source.replace(fragment, replacement), module.__file__, "exec"), mutant.__dict__)
+    # Checks that parse a module read the patched text here, not the file.
+    mutant.__source__ = source.replace(fragment, replacement)
+    exec(compile(mutant.__source__, module.__file__, "exec"), mutant.__dict__)
     return mutant
 
 

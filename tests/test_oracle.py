@@ -4,6 +4,8 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import make_corpus
 from tcpnsched import (
@@ -186,62 +188,74 @@ def _distinct_st_burst(seed: int, n: int = 300) -> Workload:
     return _shuffled(procs, rng, f"distinct-st-burst-{seed}")
 
 
+#: The engine's selection helpers, which the oracle must never name.
+ENGINE_NAMES = {
+    "bisect",
+    "cmp_to_key",
+    "compare_process",
+    "elect",
+    "update_all",
+    "update_priority",
+    "hrrn_ratio",
+}
+
+
+def _tree(oracle_mod) -> ast.Module:
+    """The syntax tree of ``oracle_mod``: of its ``__source__`` text, which a mutant keeps, or of its file."""
+    return ast.parse(getattr(oracle_mod, "__source__", None) or inspect.getsource(oracle_mod))
+
+
+def _package_modules(node: ast.AST) -> list[str]:
+    """The tcpnsched modules that an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "tcpnsched"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 0:
+        return [node.module] if node.module.split(".")[0] == "tcpnsched" else []
+    if node.module:
+        return [f"tcpnsched.{node.module}"]
+    return [f"tcpnsched.{a.name}" for a in node.names]
+
+
+def imports_only_the_data_model_at_run_time(oracle_mod) -> None:
+    """The only package module that ``oracle_mod`` imports outside ``TYPE_CHECKING`` is ``workload``."""
+    tree = _tree(oracle_mod)
+    type_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for stmt in node.body
+        for inner in ast.walk(stmt)
+    }
+    loaded = {module for node in ast.walk(tree) if id(node) not in type_only for module in _package_modules(node)}
+    assert loaded == {"tcpnsched.workload"}
+
+
+def names_no_engine_selection_code(oracle_mod) -> None:
+    """No name, attribute or import of ``oracle_mod`` is one of ``ENGINE_NAMES``."""
+    named = set()
+    for node in ast.walk(_tree(oracle_mod)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            named.update(node.module.split("."))
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+            named.add(node.asname)
+    assert not named & ENGINE_NAMES
+
+
 class TestIndependence:
     """The oracle is evidence only while it shares no selection code with the engine."""
 
-    ENGINE_NAMES = {
-        "bisect",
-        "cmp_to_key",
-        "compare_process",
-        "elect",
-        "update_all",
-        "update_priority",
-        "hrrn_ratio",
-    }
-
-    @staticmethod
-    def package_modules(node: ast.AST) -> list[str]:
-        """The tcpnsched modules that an import statement loads."""
-        if isinstance(node, ast.Import):
-            return [a.name for a in node.names if a.name.split(".")[0] == "tcpnsched"]
-        if not isinstance(node, ast.ImportFrom):
-            return []
-        if node.level == 0:
-            return [node.module] if node.module.split(".")[0] == "tcpnsched" else []
-        if node.module:
-            return [f"tcpnsched.{node.module}"]
-        return [f"tcpnsched.{a.name}" for a in node.names]
-
     def test_imports_only_the_data_model_at_run_time(self):
-        tree = ast.parse(inspect.getsource(oracle_module))
-        type_only = {
-            id(inner)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
-            for stmt in node.body
-            for inner in ast.walk(stmt)
-        }
-        loaded = {
-            module
-            for node in ast.walk(tree)
-            if id(node) not in type_only
-            for module in self.package_modules(node)
-        }
-        assert loaded == {"tcpnsched.workload"}
+        imports_only_the_data_model_at_run_time(oracle_module)
 
     def test_names_no_engine_selection_code(self):
-        named = set()
-        for node in ast.walk(ast.parse(inspect.getsource(oracle_module))):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                named.update(node.module.split("."))
-            elif isinstance(node, ast.alias):
-                named.update(node.name.split("."))
-                named.add(node.asname)
-        assert not named & self.ENGINE_NAMES
+        names_no_engine_selection_code(oracle_module)
 
 
 class TestAgainstReferenceRule:
@@ -259,8 +273,38 @@ class TestAgainstReferenceRule:
     @pytest.mark.parametrize("policy", list(Policy))
     def test_events_equal_the_brute_force_rule(self, policy):
         for w in self.CASES:
-            got = [(e.pi, e.es, e.es + e.st, e.wt, tuple(e.pr)) for e in oracle_schedule(w, policy)]
-            assert got == reference_schedule(w, policy), f"{w.name} under {policy.value}"
+            assert _oracle_events(w, policy) == reference_schedule(w, policy), f"{w.name} under {policy.value}"
+
+
+def _oracle_events(w: Workload, policy: Policy) -> list[tuple]:
+    """``oracle_schedule``'s records as ``reference_schedule``'s event tuples."""
+    return [(e.pi, e.es, e.es + e.st, e.wt, tuple(e.pr)) for e in oracle_schedule(w, policy)]
+
+
+#: Service times that tie often: short ones, whose ratios climb fast, and ones
+#: of at least 101, whose x100-floored ratios stay level over several ticks.
+TIE_SERVICE_TIMES = (1, 2, 3, 4, 6, 101, 150)
+
+
+@st.composite
+def tie_heavy_workloads(draw) -> Workload:
+    """Up to 12 processes arriving at 0..4 with priorities 0..1; pis and input order shuffled."""
+    row = st.tuples(st.integers(0, 4), st.sampled_from(TIE_SERVICE_TIMES), st.integers(0, 1))
+    rows = draw(st.lists(row, max_size=12))
+    pis = draw(st.permutations(range(1, len(rows) + 1)))
+    procs = [Process(pi, it, service, pr=PriorityPair(prio, 0)) for pi, (it, service, prio) in zip(pis, rows)]
+    return Workload(tuple(draw(st.permutations(procs))))
+
+
+@given(tie_heavy_workloads())
+def test_drawn_ties_follow_the_brute_force_rule(w):
+    """The oracle's events are the brute-force rule's under every policy, on drawn tie-heavy workloads.
+
+    No settings of its own, so ``conftest.py``'s profile applies, as in
+    ``test_reference_kernel.py``.
+    """
+    for policy in Policy:
+        assert _oracle_events(w, policy) == reference_schedule(w, policy), policy
 
 
 class TestDiff:

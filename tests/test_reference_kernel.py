@@ -6,7 +6,8 @@ None, or both halted, or both raised the same exception with the same
 message, and they must hold the same clock and marking; at the end, the same
 trace. The nets are small random ones with ints for tokens, drawn by
 ``random_net``, a counter that writes each of ``test_kernel``'s malformed
-outputs, and the scheduler net on paper-table1 and random workloads.
+outputs, a net that writes none of the places it consumes, and the
+scheduler net on paper-table1 and random workloads.
 
 The Hypothesis test sets no settings of its own, so the profile that
 ``conftest.py`` loads applies: a fixed draw in tier-1, and under
@@ -34,7 +35,7 @@ from tcpnsched import (
     builtin_paper_workload,
     kernel,
 )
-from test_kernel import MALFORMED_OUTPUTS
+from test_kernel import MALFORMED_OUTPUTS, UNWRITTEN_CONSUMED, unwritten_consumed_net
 
 #: Ways a random transition breaks the kernel's contract, each at some firings only.
 FAULTS = (
@@ -164,7 +165,7 @@ def scheduler_cases():
 
 
 def malformed_output_cases():
-    """A counter that fires once, then writes one of ``MALFORMED_OUTPUTS``."""
+    """A counter that fires once, then writes one of ``MALFORMED_OUTPUTS``; a net for each of ``UNWRITTEN_CONSUMED``."""
     for output, _ in MALFORMED_OUTPUTS:
 
         def action(v, clock, output=output):
@@ -172,6 +173,9 @@ def malformed_output_cases():
 
         t = Transition(name="bad", rank=0, consumed=("cell",), guard=lambda v, c: True, action=action)
         yield Net("malformed", ("cell",), (t,)), lambda: EngineState(marking={"cell": TimedToken(0, 0)}), 5
+    for consumed, _ in UNWRITTEN_CONSUMED:
+        net = unwritten_consumed_net(kernel, consumed)
+        yield net, lambda c=consumed: EngineState(marking=dict.fromkeys(c, TimedToken(0, 0))), 5
 
 
 def kernel_agrees_with_reference(kernel_module) -> None:
