@@ -146,12 +146,11 @@ def result_json_text(result: ScheduleResult, trace: list | None = None) -> str:
     records; only here are ``pr`` pairs transposed.
     """
     agg, total_idle = result.aggregates, result.total_idle
-    processes, aggregates = [], "null"
-    if result.finished:
-        entry = _process_entry(_process_columns(result.finished))
-        # The layout holds a list's items, so a list of the records' lists gives one column per item.
-        columns = [c for value in entry.values() for c in (zip(*value) if type(value) is list else (value,))]
-        processes = list(map(_PROCESS_LAYOUT.__mod__, zip(*columns)))
+    aggregates = "null"
+    entry = _process_entry(_process_columns(result.finished))
+    # The layout holds a list's items, so a list of the records' lists gives one column per item.
+    columns = [c for value in entry.values() for c in (zip(*value) if type(value) is list else (value,))]
+    processes = list(map(_PROCESS_LAYOUT.__mod__, zip(*columns)))
     if agg is not None:
         aggregates = _AGGREGATES_LAYOUT % (agg.avg_waiting, agg.avg_turnaround, total_idle, agg.utilization)
     values = [json.dumps(result.policy.value), result.makespan, result.lead_in, total_idle]

@@ -60,32 +60,23 @@ def result_from_processes(
             f"{len(w.processes)} processes, first missing pi {min(expected - got, default='none')}, "
             f"first extra pi {min(got - expected, default='none')}"
         )
-    if not finished:
-        return ScheduleResult(
-            policy=policy,
-            finished=(),
-            makespan=0,
-            lead_in=0,
-            idle_intervals=(),
-            aggregates=None,
-        )
-
     columns = _process_columns(finished)
     es, ends = columns.es, columns.finish
-    lead_in = min(map(_it, w.processes))
-    makespan = max(ends)
+    lead_in = min(map(_it, w.processes), default=0)
+    makespan = max(ends, default=0)
 
     # Runs in start order; the cursor before each run is the latest end so far.
-    starts, stops = zip(*sorted(zip(es, ends)))
+    starts, stops = list(zip(*sorted(zip(es, ends)))) or ((), ())
     cursors = list(accumulate(stops, max, initial=lead_in))
     idle = list(compress(zip(cursors, starts), map(lt, cursors, starts)))
 
+    # The averages alone depend on the size: with no records they would be 0/0.
     n = len(finished)
     aggregates = Aggregates(
         avg_waiting=sum(columns.wt) / n,
         avg_turnaround=sum(columns.turnaround) / n,
         utilization=sum(columns.st) / (makespan - lead_in),
-    )
+    ) if n else None
     return ScheduleResult(
         policy=policy,
         finished=tuple(finished),

@@ -98,12 +98,13 @@ class _Column(tuple):
 
 
 def _process_columns(records: Iterable[Process]) -> Process:
-    """One ``Process`` whose fields are the columns of the non-empty ``records``.
+    """One ``Process`` whose fields are the columns of the ``records``.
 
     Its ``finish`` and ``turnaround`` are then columns too, item i of each
     being that of record i; its ``pr`` is the column of the records' pairs.
+    With no records there are no rows to transpose, but still six empty columns.
     """
-    return Process(*map(_Column, zip(*records)))
+    return Process(*map(_Column, list(zip(*records)) or [()] * len(Process._fields)))
 
 
 class Workload(_Record):

@@ -317,6 +317,8 @@ class TestRun:
         code, out, _ = invoke(capsys, "run", "--policy", "hrrn", "--workload", "paper-table1", "--format", "json")
         assert code == 0
         assert json.loads(out) == HRRN_EXPECTED
+        # Parsed dicts ignore key order; the text pins the order the README documents.
+        assert out == json.dumps(HRRN_EXPECTED, indent=2) + "\n"
 
     def test_json_output_is_byte_stable(self, capsys):
         _, first, _ = invoke(capsys, "run", "--policy", "hrrn", "--format", "json")

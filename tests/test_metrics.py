@@ -7,13 +7,28 @@ from tcpnsched import (
     Policy,
     PriorityPair,
     Process,
+    ScheduleResult,
     Workload,
     compute_metrics,
     gantt_csv,
+    metrics,
     oracle_schedule,
     result_from_processes,
     simulate,
 )
+
+
+def empty_result_is_all_zero(metrics_module) -> None:
+    """Under each policy, the engine's and the oracle's schedule of no processes is the all-zero result."""
+    w = Workload(())
+    for policy in Policy:
+        results = (
+            metrics_module.compute_metrics(simulate(w, policy), w, policy),
+            metrics_module.result_from_processes(oracle_schedule(w, policy), w, policy),
+        )
+        for result in results:
+            assert result == ScheduleResult(policy, (), 0, 0, (), None)
+            assert metrics_module.gantt_csv(result) == "kind,pi,start,finish\n"
 
 
 @pytest.fixture
@@ -112,12 +127,7 @@ class TestComputeMetrics:
         assert result.aggregates.utilization == sum(p.st for p in finished) / (makespan - lead_in)
 
     def test_empty_workload(self):
-        w = Workload(())
-        res = compute_metrics(simulate(w, Policy.SJF), w, Policy.SJF)
-        assert res.makespan == 0
-        assert res.aggregates is None
-        assert res.idle_intervals == ()
-        assert gantt_csv(res) == "kind,pi,start,finish\n"
+        empty_result_is_all_zero(metrics)
 
 
 class TestGantt:

@@ -46,6 +46,7 @@ from tcpnsched import (
     compute_metrics,
     diff_results,
     kernel,
+    metrics,
     oracle,
     parse_workload,
     sched,
@@ -73,6 +74,7 @@ from test_kernel import (
     ready_times_that_do_not_compare_are_model_errors,
     steps_makes_initial_pairs_tokens,
 )
+from test_metrics import empty_result_is_all_zero
 from test_oracle import draws_are_pinned, imports_only_the_data_model_at_run_time, names_no_engine_selection_code
 from test_records import frozen_records_refuse_assignment
 from test_reference_kernel import kernel_agrees_with_reference
@@ -319,6 +321,14 @@ MUTANTS = [
     ("empty-array-bracketed", cli, 'if entries else "[]"', 'if entries else "[\\n  ]"', processes_are_json_dumps),
     ("pr-pairs-untransposed", cli, "zip(*value) if type(value) is list", "value if type(value) is list", processes_are_json_dumps),
     ("top-layout-flipped", cli, "_TOP_LAYOUTS[trace is not None]", "_TOP_LAYOUTS[trace is None]", processes_are_json_dumps),
+    (
+        "empty-lead-in-default",
+        metrics,
+        "min(map(_it, w.processes), default=0)",
+        "min(map(_it, w.processes), default=1)",
+        empty_result_is_all_zero,
+    ),
+    ("empty-aggregates-of-zeros", metrics, ") if n else None", ") if n else Aggregates(0, 0, 0)", empty_result_is_all_zero),
     (
         "finish-turnaround-swapped",
         workload,
